@@ -231,8 +231,8 @@ def _parallel_attempt(args):
     "--restart-budget",
     type=click.IntRange(min=1),
     default=None,
-    help="Consecutive rejections at one layer before restart/backtrack "
-    "[default: 10000*n].",
+    help="Consecutive rejections at one layer before restart/backtrack; "
+    "the last layer is forced and never rejected [default: 10000*n].",
 )
 @click.option(
     "--policy",

@@ -5,9 +5,10 @@ permutation layers, layer k marking the cells that hold value k; and
 conversely any pairwise-disjoint full set of layers composes to a valid
 Sudoku matrix.  The main generator builds the stack layer by layer from
 random pi matrices, retrying a layer until it fits and restarting the
-whole stack when a layer budget runs out; the blind-rejection variant
-draws a complete layer tuple per attempt and keeps it only if already
-disjoint.
+whole stack when a layer budget runs out; the last layer is forced, since
+the cells left uncovered by n^2 - 1 disjoint layers always form one.  The
+blind-rejection variant draws a complete layer tuple per attempt and
+keeps it only if already disjoint.
 
 Exact counts by order: 1 matrix at n = 1, 288 at n = 2, and
 6 670 903 752 021 072 936 960 at n = 3 (embedded constant, far beyond
@@ -24,7 +25,9 @@ from .errors import BudgetExhaustedError, CompositionError, InfeasibleError
 from .perm import _is_perm_trusted
 from .pi import gen_pi_direct
 from .rng import RandomSource
-from .sigma import SigmaMatrix, _phi_mask, is_sigma, ratio_as_float
+# is_sigma is unused here but stays importable as ``sudoku.is_sigma``,
+# which the cli-pipeline benchmark's traced replay hooks by name.
+from .sigma import SigmaMatrix, _phi_mask, is_sigma, ratio_as_float  # noqa: F401
 
 STATS_SCHEMA_VERSION = 1
 
@@ -127,26 +130,7 @@ def decompose(cells: list[list[int]]) -> list[SigmaMatrix]:
     for i in range(side):
         for j in range(side):
             masks[cells[i][j]] |= 1 << (i * side + j)
-    layers = [SigmaMatrix(n, masks[k]) for k in range(1, side + 1)]
-    if __debug__:
-        for layer in layers:
-            assert is_sigma(layer.to_rows())
-    return layers
-
-
-def _additive_disjoint(mask_a: int, mask_b: int) -> bool:
-    # The sum B + A has all entries <= 1 iff no bit occurs in both masks.
-    counts: dict[int, int] = {}
-    for m in (mask_a, mask_b):
-        while m:
-            low = m & -m
-            bit = low.bit_length() - 1
-            c = counts.get(bit, 0) + 1
-            if c > 1:
-                return False
-            counts[bit] = c
-            m ^= low
-    return True
+    return [SigmaMatrix(n, masks[k]) for k in range(1, side + 1)]
 
 
 class DisjointStack:
@@ -173,9 +157,7 @@ class DisjointStack:
         """Accept the layer iff it is disjoint from everything so far."""
         if layer.n != self.n:
             raise ValueError(f"order mismatch: {layer.n} vs {self.n}")
-        disjoint = (self.mask & layer.mask) == 0
-        assert disjoint == _additive_disjoint(self.mask, layer.mask)
-        if not disjoint:
+        if self.mask & layer.mask:
             return False
         self.layers.append(layer)
         self.mask |= layer.mask
@@ -195,12 +177,13 @@ class DisjointStack:
 class RestartPolicy:
     """Dead-end handling for the layered generator.
 
-    After ``restart_budget`` consecutive rejections at one layer
-    (default 10000 * n), either the whole stack is discarded
+    After ``restart_budget`` consecutive rejections at one of the layers
+    1 .. n^2 - 1 (default 10000 * n), either the whole stack is discarded
     (mode "restart") or only the most recent accepted layer is dropped
-    (mode "backtrack").  ``max_restarts`` bounds full restarts; when
-    exceeded the generator raises BudgetExhaustedError with partial
-    stats attached.
+    (mode "backtrack").  The last layer is forced and never rejected, so
+    the budget never applies to it.  ``max_restarts`` bounds full
+    restarts; when exceeded the generator raises BudgetExhaustedError
+    with partial stats attached.
     """
 
     restart_budget: int | None = None
@@ -259,17 +242,31 @@ def gen_sudoku(
 ) -> tuple[list[list[int]], GenStats]:
     """Generate a Sudoku matrix by stacking random disjoint layers.
 
-    Each candidate layer is the block permutation image of a fresh
-    random pi matrix; it is accepted iff the occupancy accumulator stays
-    0/1, i.e. the candidate is disjoint from all accepted layers.  The
-    restart policy keeps the loop a terminating Las Vegas process even
-    when a partial stack cannot be extended.
+    Each candidate for layers 1 .. n^2 - 1 is the block permutation image
+    of a fresh random pi matrix; it is accepted iff the occupancy
+    accumulator stays 0/1, i.e. the candidate is disjoint from all
+    accepted layers.  The restart policy keeps the loop a terminating Las
+    Vegas process even when a partial stack cannot be extended.
+
+    The last layer is forced: the cells n^2 - 1 disjoint layers leave
+    uncovered hold one cell per row, column and block, so their mask is
+    the only layer that fits.  It draws nothing, counts as one accepted
+    candidate, and ``rejections_per_layer[-1]`` is always 0.  Every
+    (n^2 - 1)-stack used to complete by blind draws with the same
+    probability, so forcing the layer leaves the output law unchanged;
+    only the draw stream, and hence the matrix for a given seed, differs
+    from versions that drew the last layer.
+
+    The output is not uniform over Sudoku matrices: at n = 2, 160 of the
+    288 matrices come out with probability 1/224 and 128 with 1/448.
+    ``gen_sudoku_rejection`` samples uniformly (n <= 2).
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     policy = policy or RestartPolicy()
     budget = policy.budget_for(n)
     side = n * n
+    full = (1 << (side * side)) - 1
     perf = time.perf_counter
     start = perf()
     gen_time = 0.0
@@ -297,8 +294,10 @@ def gen_sudoku(
     while len(stack) < side:
         k = len(stack)
         t0 = perf()
-        rows = gen_pi_direct(n, source)
-        layer = SigmaMatrix(n, _phi_mask(rows, n))
+        if k == side - 1:
+            layer = SigmaMatrix(n, full ^ stack.mask)
+        else:
+            layer = SigmaMatrix(n, _phi_mask(gen_pi_direct(n, source), n))
         t1 = perf()
         gen_time += t1 - t0
         candidates += 1

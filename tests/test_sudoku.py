@@ -1,8 +1,12 @@
 """Sudoku matrices: validity, layer calculus, generators, enumeration."""
 
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from conftest import ScriptedSource, as_key
 from sudogen import (
@@ -17,8 +21,11 @@ from sudogen import (
     compose,
     decompose,
     enumerate_sudoku,
+    gen_perm_direct,
+    gen_pi_direct,
     gen_sudoku,
     gen_sudoku_rejection,
+    is_sigma,
     is_sudoku,
     iter_sudoku,
     phi,
@@ -43,6 +50,46 @@ DRAWS_L4 = [2, 1, 2, 1, 2, 1, 2, 1]
 
 def example_layers():
     return [phi(PI_L1), phi(PI_L2), phi(PI_L3), phi(PI_L4)]
+
+
+def pattern_grid(n, source):
+    """Canonical order-n Sudoku pattern under random digit, band, stack,
+    row and column permutations, each of which preserves validity."""
+    side = n * n
+
+    def perm0(k):
+        return [v - 1 for v in gen_perm_direct(k, source)]
+
+    digits = gen_perm_direct(side, source)
+    rows = [band * n + r for band in perm0(n) for r in perm0(n)]
+    cols = [stack * n + c for stack in perm0(n) for c in perm0(n)]
+    return [[digits[(n * (r % n) + r // n + c) % side] for c in cols] for r in rows]
+
+
+def layered_law(masks, side):
+    """Exact law of the layered process over a list of all sigma masks.
+
+    Each step picks uniformly among the masks disjoint from the stack so
+    far.  Returns ``(law, dead)``: the probability of each composed grid
+    and the total probability of reaching a stack no mask extends.
+    """
+    law = Counter()
+    dead = Fraction(0)
+
+    def extend(stack, used, p):
+        nonlocal dead
+        if len(stack) == side:
+            law[as_key(compose(stack))] += p
+            return
+        fits = [m for m in masks if not m.mask & used]
+        if not fits:
+            dead += p
+            return
+        for m in fits:
+            extend(stack + [m], used | m.mask, p / len(fits))
+
+    extend([], 0, Fraction(1))
+    return law, dead
 
 
 class TestShapeAndValidity:
@@ -143,6 +190,20 @@ class TestComposeDecompose:
         for cells in sudoku288[::24]:
             assert compose(decompose(cells)) == cells
 
+    def test_layers_are_sigma_on_all_order_two_grids(self, sudoku288):
+        for cells in sudoku288:
+            assert all(is_sigma(layer.to_rows()) for layer in decompose(cells))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_layers_are_sigma_on_seeded_grids(self, n):
+        src = RandomSource(500 + n)
+        for _ in range(3):
+            cells = pattern_grid(n, src)
+            layers = decompose(cells)
+            assert len(layers) == n * n
+            assert all(is_sigma(layer.to_rows()) for layer in layers)
+            assert compose(layers) == cells
+
 
 class TestDisjointStack:
     def test_occupancy_invariant(self):
@@ -183,6 +244,45 @@ class TestDisjointStack:
         with pytest.raises(ValueError):
             DisjointStack(0)
 
+    @staticmethod
+    def _elementwise_disjoint(a, b):
+        # the definition: the dense sum a + b has no entry above 1
+        return all(
+            x + y <= 1
+            for row_a, row_b in zip(a.to_rows(), b.to_rows())
+            for x, y in zip(row_a, row_b)
+        )
+
+    def _check_push(self, a, b):
+        stack = DisjointStack(a.n)
+        assert stack.try_push(a)
+        expected = self._elementwise_disjoint(a, b)
+        assert stack.try_push(b) == expected
+        assert len(stack) == 1 + expected
+        assert stack.mask == (a.mask | b.mask if expected else a.mask)
+
+    def test_try_push_matches_elementwise_sum_order_two(self, sigma16):
+        for a in sigma16:
+            for b in sigma16:
+                self._check_push(a, b)
+
+    def test_try_push_matches_elementwise_sum_order_three(self):
+        src = RandomSource(313)
+        layers = [phi(gen_pi_direct(3, src)) for _ in range(40)]
+        outcomes = set()
+        for a, b in zip(layers[::2], layers[1::2]):
+            self._check_push(a, b)
+            outcomes.add(self._elementwise_disjoint(a, b))
+        # about 40% of random order-3 pairs are disjoint, so both occur
+        assert outcomes == {True, False}
+        # the complement of a layer stack is disjoint from all of it
+        stack = DisjointStack(3)
+        for layer in decompose(pattern_grid(3, src))[:8]:
+            assert stack.try_push(layer)
+        rest = SigmaMatrix(3, ((1 << 81) - 1) ^ stack.mask)
+        assert all(self._elementwise_disjoint(rest, layer) for layer in stack.layers)
+        assert stack.try_push(rest)
+
 
 class TestRestartPolicy:
     def test_default_budget_scales_with_order(self):
@@ -206,9 +306,19 @@ class TestLayeredGenerator:
         assert stats.candidates == 1
         assert stats.restarts == 0
 
+    def test_scripted_forced_last_layer(self):
+        # three drawn layers suffice: the fourth is the uncovered cells
+        src = ScriptedSource(DRAWS_L1 + DRAWS_L2 + DRAWS_L3)
+        cells, stats = gen_sudoku(2, src)
+        assert cells == EXAMPLE
+        assert src.exhausted
+        assert stats.candidates == 4
+        assert stats.rejections_per_layer == [0, 0, 0, 0]
+
     def test_scripted_restart_path(self):
-        # duplicate second candidate trips the budget of 1 and restarts
-        script = DRAWS_L1 + DRAWS_L1 + DRAWS_L1 + DRAWS_L2 + DRAWS_L3 + DRAWS_L4
+        # duplicate second candidate trips the budget of 1 and restarts;
+        # the last layer is forced, so its draws are not in the script
+        script = DRAWS_L1 + DRAWS_L1 + DRAWS_L1 + DRAWS_L2 + DRAWS_L3
         src = ScriptedSource(script)
         policy = RestartPolicy(restart_budget=1, mode="restart")
         cells, stats = gen_sudoku(2, src, policy)
@@ -220,7 +330,7 @@ class TestLayeredGenerator:
         assert src.exhausted
 
     def test_scripted_backtrack_path(self):
-        script = DRAWS_L1 + DRAWS_L1 + DRAWS_L1 + DRAWS_L2 + DRAWS_L3 + DRAWS_L4
+        script = DRAWS_L1 + DRAWS_L1 + DRAWS_L1 + DRAWS_L2 + DRAWS_L3
         src = ScriptedSource(script)
         policy = RestartPolicy(restart_budget=1, mode="backtrack")
         cells, stats = gen_sudoku(2, src, policy)
@@ -275,20 +385,27 @@ class TestLayeredGenerator:
         ]
         assert d["schema_version"] == 1
 
-    def test_coverage_and_histogram_diagnostic(self, sudoku288_keys):
-        # every one of the 288 order-2 matrices should be hit in 20 000
-        # runs; the chi-square statistic is reported as a diagnostic,
-        # without an acceptance threshold (the layer-by-layer process is
-        # not exactly uniform: acceptance odds at layer three depend on
-        # the pair already on the stack)
+    def test_exact_law_order_two(self, sigma16, sudoku288_keys):
+        law, dead = layered_law(sigma16, 4)
+        assert dead == 0
+        assert set(law) == sudoku288_keys
+        assert Counter(law.values()) == {Fraction(1, 224): 160, Fraction(1, 448): 128}
+
+    def test_coverage_and_histogram_diagnostic(self, sigma16, sudoku288_keys):
+        # every one of the 288 order-2 matrices is hit in 20 000 runs, and
+        # the histogram fits the process's exact law (not the uniform one:
+        # acceptance odds at layer three depend on the pair already on the
+        # stack)
+        law, _ = layered_law(sigma16, 4)
         src = RandomSource(808)
-        counts = {}
-        for _ in range(20_000):
-            key = as_key(gen_sudoku(2, src)[0])
-            counts[key] = counts.get(key, 0) + 1
+        samples = 20_000
+        counts = Counter(as_key(gen_sudoku(2, src)[0]) for _ in range(samples))
         assert set(counts) == sudoku288_keys
-        stat = chi_square_uniform(list(counts.values()))
-        print(f"\nlayered generator n=2 histogram chi-square: {stat:.1f} (df=287)")
+        expected = {key: samples * float(p) for key, p in law.items()}
+        stat = sum((counts[key] - e) ** 2 / e for key, e in expected.items())
+        assert chi2.sf(stat, 287) > 1e-4
+        # the same sample rejects the uniform law, so the test has power
+        assert chi2.sf(chi_square_uniform(list(counts.values())), 287) < 1e-4
 
 
 class TestRejectionGenerator:
