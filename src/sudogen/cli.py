@@ -231,8 +231,9 @@ def _parallel_attempt(args):
     "--restart-budget",
     type=click.IntRange(min=1),
     default=None,
-    help="Consecutive rejections at one layer before restart/backtrack; "
-    "the last layer is forced and never rejected [default: 10000*n].",
+    help="Consecutive blind rejections at one layer before restart/backtrack; "
+    "also caps how many fitting layers are enumerated per stack. The last "
+    "layer is forced and never rejected [default: 10000*n].",
 )
 @click.option(
     "--policy",

@@ -47,8 +47,8 @@ class SigmaMatrix:
         """Build from a dense 0/1 matrix; ValueError if it is not valid."""
         if not is_sigma(rows):
             raise ValueError("matrix is not a block permutation matrix")
-        n = _block_order(len(rows))
         side = len(rows)
+        n = math.isqrt(side)
         mask = 0
         for i, row in enumerate(rows):
             # exactly one 1 per row, guaranteed by is_sigma
@@ -90,11 +90,19 @@ class SigmaMatrix:
         ]
 
 
-def _block_order(side: int) -> int:
-    """n such that side = n^2; ValueError if side is not a perfect square."""
-    n = round(side**0.5)
-    if side < 1 or n * n != side:
-        raise ValueError(f"matrix side {side} is not a positive perfect square")
+def block_order(rows: list[list[int]]) -> int:
+    """Block order n of an n^2 x n^2 matrix or grid; ValueError on a bad shape.
+
+    The side must be a positive perfect square and every row must have
+    that length.
+    """
+    side = len(rows)
+    n = math.isqrt(side)
+    if side == 0 or n * n != side:
+        raise ValueError(f"side {side} is not a positive perfect square")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != side:
+            raise ValueError(f"row {i} has length {len(row)}, expected {side}")
     return n
 
 
@@ -162,11 +170,9 @@ def is_sigma(rows: list[list[int]]) -> bool:
     must be a perfect square and entries must be 0/1; anything else is a
     malformed candidate and raises ValueError.
     """
-    side = len(rows)
-    n = _block_order(side)
+    n = block_order(rows)
+    side = n * n
     for i, row in enumerate(rows, start=1):
-        if len(row) != side:
-            raise ValueError(f"row {i} has length {len(row)}, expected {side}")
         for v in row:
             if v not in (0, 1):
                 raise ValueError(f"entry {v!r} in row {i} is not binary")

@@ -3,12 +3,13 @@
 A Sudoku matrix decomposes uniquely into n^2 pairwise-disjoint block
 permutation layers, layer k marking the cells that hold value k; and
 conversely any pairwise-disjoint full set of layers composes to a valid
-Sudoku matrix.  The main generator builds the stack layer by layer from
-random pi matrices, retrying a layer until it fits and restarting the
-whole stack when a layer budget runs out; the last layer is forced, since
-the cells left uncovered by n^2 - 1 disjoint layers always form one.  The
-blind-rejection variant draws a complete layer tuple per attempt and
-keeps it only if already disjoint.
+Sudoku matrix.  The main generator builds the stack layer by layer: it
+picks a deep layer uniformly from the enumerated layers that fit, draws a
+shallow one from random pi matrices until it fits, and restarts the whole
+stack at a dead end or when a layer budget runs out; the last layer is
+forced, since the cells left uncovered by n^2 - 1 disjoint layers always
+form one.  The blind-rejection variant draws a complete layer tuple per
+attempt and keeps it only if already disjoint.
 
 Exact counts by order: 1 matrix at n = 1, 288 at n = 2, and
 6 670 903 752 021 072 936 960 at n = 3 (embedded constant, far beyond
@@ -17,6 +18,8 @@ enumeration).  No formula is known in general.
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -28,26 +31,15 @@ from .rng import RandomSource
 # is_sigma is unused here but stays importable as ``sudoku.is_sigma``,
 # which the cli-pipeline benchmark's traced replay hooks by name.
 from .sigma import SigmaMatrix, _phi_mask, is_sigma, ratio_as_float  # noqa: F401
+from .sigma import block_order as sudoku_order
 
-STATS_SCHEMA_VERSION = 1
+STATS_SCHEMA_VERSION = 2
 
 SIGMA_COUNTS = {
     1: 1,
     2: 288,
     3: 6_670_903_752_021_072_936_960,
 }
-
-
-def sudoku_order(cells: list[list[int]]) -> int:
-    """Block order n of an n^2 x n^2 grid; ValueError on a bad shape."""
-    side = len(cells)
-    n = round(side**0.5)
-    if side == 0 or n * n != side:
-        raise ValueError(f"grid side {side} is not a perfect square")
-    for i, row in enumerate(cells, start=1):
-        if len(row) != side:
-            raise ValueError(f"row {i} has length {len(row)}, expected {side}")
-    return n
 
 
 def is_sudoku(cells: list[list[int]]) -> bool:
@@ -177,13 +169,16 @@ class DisjointStack:
 class RestartPolicy:
     """Dead-end handling for the layered generator.
 
-    After ``restart_budget`` consecutive rejections at one of the layers
-    1 .. n^2 - 1 (default 10000 * n), either the whole stack is discarded
-    (mode "restart") or only the most recent accepted layer is dropped
-    (mode "backtrack").  The last layer is forced and never rejected, so
-    the budget never applies to it.  ``max_restarts`` bounds full
-    restarts; when exceeded the generator raises BudgetExhaustedError
-    with partial stats attached.
+    A stack is abandoned at an exact dead end (no layer fits it) or after
+    ``restart_budget`` consecutive rejections at a blindly drawn layer
+    (default 10000 * n).  Then either the whole stack is discarded (mode
+    "restart") or only the most recent accepted layer is dropped, and is
+    no longer picked from the enumerated layers of the stack below it
+    (mode "backtrack").  The budget also caps how many fitting layers the
+    generator enumerates for one stack; the last layer is forced and
+    never rejected.  ``max_restarts`` bounds full restarts; when exceeded
+    the generator raises BudgetExhaustedError with partial stats
+    attached.
     """
 
     restart_budget: int | None = None
@@ -202,7 +197,11 @@ class RestartPolicy:
 
 @dataclass
 class GenStats:
-    """Versioned per-run statistics of the layered generator."""
+    """Versioned per-run statistics of the layered generator.
+
+    ``exact_layers`` counts the layers picked from an enumeration of the
+    layers that fit, as opposed to drawn blindly or forced.
+    """
 
     n: int
     seed: int | None
@@ -210,6 +209,7 @@ class GenStats:
     restarts: int = 0
     backtracks: int = 0
     candidates: int = 0
+    exact_layers: int = 0
     wall_time_s: float = 0.0
     gen_time_s: float = 0.0
     check_time_s: float = 0.0
@@ -229,10 +229,58 @@ class GenStats:
             "restarts": self.restarts,
             "backtracks": self.backtracks,
             "candidates": self.candidates,
+            "exact_layers": self.exact_layers,
             "wall_time_s": self.wall_time_s,
             "gen_time_s": self.gen_time_s,
             "check_time_s": self.check_time_s,
         }
+
+
+@functools.cache
+def _layer_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # One mask per block (row-major block order), and per cell the mask of
+    # every cell outside its row and its column: the cells a layer holding
+    # that cell leaves open.
+    side = n * n
+    full = (1 << (side * side)) - 1
+    row = (1 << side) - 1
+    column = sum(1 << (i * side) for i in range(side))
+    block_rows = sum(((1 << n) - 1) << (i * side) for i in range(n))
+    blocks = tuple(block_rows << (s * n * side + t * n) for s in range(n) for t in range(n))
+    keep = tuple(
+        full & ~((row << (c - c % side)) | (column << (c % side)))
+        for c in range(side * side)
+    )
+    return blocks, keep
+
+
+def _fitting_layers(n: int, free: int, cap: int) -> list[int] | None:
+    """Masks of every sigma layer inside the ``free`` cells, or None.
+
+    A backtracker walks the n^2 blocks in row-major order, taking in each
+    block one free cell whose row and column no earlier choice holds.
+    The order of the list is fixed by ``free``.  Once more than ``cap``
+    layers are found it stops and returns None, so it never holds more
+    than ``cap + 1`` masks.
+    """
+    blocks, keep = _layer_tables(n)
+    last = len(blocks) - 1
+    found: list[int] = []
+
+    def walk(b: int, avail: int, acc: int) -> bool:
+        cells = avail & blocks[b]
+        while cells:
+            low = cells & -cells
+            cells ^= low
+            if b == last:
+                found.append(acc | low)
+                if len(found) > cap:
+                    return False
+            elif not walk(b + 1, avail & keep[low.bit_length() - 1], acc | low):
+                return False
+        return True
+
+    return found if walk(0, free, 0) else None
 
 
 def gen_sudoku(
@@ -242,20 +290,34 @@ def gen_sudoku(
 ) -> tuple[list[list[int]], GenStats]:
     """Generate a Sudoku matrix by stacking random disjoint layers.
 
-    Each candidate for layers 1 .. n^2 - 1 is the block permutation image
-    of a fresh random pi matrix; it is accepted iff the occupancy
-    accumulator stays 0/1, i.e. the candidate is disjoint from all
-    accepted layers.  The restart policy keeps the loop a terminating Las
-    Vegas process even when a partial stack cannot be extended.
+    Every step picks the next layer uniformly among the block permutation
+    layers disjoint from the stack so far, in one of three ways:
 
-    The last layer is forced: the cells n^2 - 1 disjoint layers leave
-    uncovered hold one cell per row, column and block, so their mask is
-    the only layer that fits.  It draws nothing, counts as one accepted
-    candidate, and ``rejections_per_layer[-1]`` is always 0.  Every
-    (n^2 - 1)-stack used to complete by blind draws with the same
-    probability, so forcing the layer leaves the output law unchanged;
-    only the draw stream, and hence the matrix for a given seed, differs
-    from versions that drew the last layer.
+    - Layer 1 is the image of a fresh random pi matrix; every layer fits
+      the empty stack.
+    - Layers 2 .. n^2 - 1 first enumerate the layers that fit, once per
+      stack state.  If there are at most ``cap`` of them, one
+      ``uniform_int`` draw picks one (an "exact" layer, one accepted
+      candidate); if there are none the stack is a dead end and is
+      abandoned at once.  Past ``cap``, candidates are images of fresh
+      random pi matrices, accepted iff disjoint from the stack, and the
+      stack is abandoned after ``restart_budget`` consecutive rejections.
+    - The last layer is forced: the cells n^2 - 1 disjoint layers leave
+      uncovered hold one cell per row, column and block, so their mask is
+      the only layer that fits.  It draws nothing and counts as one
+      accepted candidate.
+
+    ``cap`` is min(n * (n!)^n, restart budget).  About n * (n!)^n fitting
+    layers is where enumerating (about that many cells placed) and blind
+    drawing (n^2 cells per candidate, (n!)^(2n) / count candidates) cost
+    the same; the budget also bounds the enumeration's memory.  An
+    abandoned stack is restarted or backtracked as the policy says; when
+    backtracking, a layer that dead-ended a stack is not picked again
+    for that stack, so a stack all of whose layers dead-end is abandoned
+    in turn.
+    Enumerated layers and forced ones draw differently from blind ones,
+    so a seed gives a different matrix than in versions that drew them
+    blindly, though each step's law is unchanged.
 
     The output is not uniform over Sudoku matrices: at n = 2, 160 of the
     288 matrices come out with probability 1/224 and 128 with 1/448.
@@ -265,6 +327,7 @@ def gen_sudoku(
         raise ValueError(f"order must be >= 1, got {n}")
     policy = policy or RestartPolicy()
     budget = policy.budget_for(n)
+    cap = min(n * math.factorial(n) ** n, budget)
     side = n * n
     full = (1 << (side * side)) - 1
     perf = time.perf_counter
@@ -276,7 +339,12 @@ def gen_sudoku(
     restarts = 0
     backtracks = 0
     candidates = 0
+    exact_layers = 0
     consecutive = 0
+    blind = False  # the current stack has more than cap fitting layers
+    # backtrack mode: per depth, the layers already shown to dead-end the
+    # stack of that depth; they are no longer picked there
+    dead: list[set[int]] = [set() for _ in range(side)]
 
     def make_stats() -> GenStats:
         return GenStats(
@@ -286,6 +354,7 @@ def gen_sudoku(
             restarts=restarts,
             backtracks=backtracks,
             candidates=candidates,
+            exact_layers=exact_layers,
             wall_time_s=perf() - start,
             gen_time_s=gen_time,
             check_time_s=check_time,
@@ -295,39 +364,52 @@ def gen_sudoku(
         k = len(stack)
         t0 = perf()
         if k == side - 1:
-            layer = SigmaMatrix(n, full ^ stack.mask)
+            mask = full ^ stack.mask
         else:
-            layer = SigmaMatrix(n, _phi_mask(gen_pi_direct(n, source), n))
+            fits = None if k == 0 or blind else _fitting_layers(n, full ^ stack.mask, cap)
+            blind = k > 0 and fits is None
+            if fits and dead[k]:
+                fits = [m for m in fits if m not in dead[k]]
+            if fits is None:
+                mask = _phi_mask(gen_pi_direct(n, source), n)
+            elif fits:
+                mask = fits[source.uniform_int(len(fits)) - 1]
+                exact_layers += 1
+            else:
+                mask = None  # dead end: no layer fits this stack
         t1 = perf()
         gen_time += t1 - t0
-        candidates += 1
-        accepted = stack.try_push(layer)
-        check_time += perf() - t1
-        if accepted:
-            consecutive = 0
-            continue
-        rejections[k] += 1
-        consecutive += 1
-        if consecutive >= budget:
-            consecutive = 0
-            if policy.mode == "backtrack" and len(stack) > 0:
-                stack.pop()
-                backtracks += 1
-            else:
-                stack.clear()
-                restarts += 1
-                if policy.max_restarts is not None and restarts > policy.max_restarts:
-                    raise BudgetExhaustedError(
-                        f"gave up after {policy.max_restarts} full restarts at order {n}",
-                        stats=make_stats(),
-                    )
+        if mask is not None:
+            candidates += 1
+            accepted = stack.try_push(SigmaMatrix(n, mask))
+            check_time += perf() - t1
+            if accepted:
+                consecutive = 0
+                blind = False
+                continue
+            rejections[k] += 1
+            consecutive += 1
+            if consecutive < budget:
+                continue
+        consecutive = 0
+        blind = False
+        if policy.mode == "backtrack" and len(stack) > 0:
+            dead[k].clear()
+            dead[k - 1].add(stack.pop().mask)
+            backtracks += 1
+        else:
+            stack.clear()
+            restarts += 1
+            if policy.max_restarts is not None and restarts > policy.max_restarts:
+                raise BudgetExhaustedError(
+                    f"gave up after {policy.max_restarts} full restarts at order {n}",
+                    stats=make_stats(),
+                )
     cells = compose(stack.layers)
     return cells, make_stats()
 
 
 def _sudoku_rejection_feasibility(n: int) -> None:
-    import math
-
     layer_space = (math.factorial(n) ** (2 * n)) ** (n * n)
     if n in SIGMA_COUNTS:
         expected = ratio_as_float(layer_space, SIGMA_COUNTS[n])

@@ -1,5 +1,6 @@
 """Sudoku matrices: validity, layer calculus, generators, enumeration."""
 
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from sudogen import (
     chi_square_uniform,
     compose,
     decompose,
+    enumerate_sigma,
     enumerate_sudoku,
     gen_perm_direct,
     gen_pi_direct,
@@ -32,6 +34,7 @@ from sudogen import (
     sigma_disjoint,
     sudoku_order,
 )
+from sudogen.sudoku import _fitting_layers
 
 EXAMPLE = [[1, 2, 3, 4], [3, 4, 1, 2], [2, 1, 4, 3], [4, 3, 2, 1]]
 
@@ -284,6 +287,47 @@ class TestDisjointStack:
         assert stack.try_push(rest)
 
 
+class TestFittingLayers:
+    def test_order_two_matches_filter_on_every_reachable_stack(self, sigma16):
+        masks = [m.mask for m in sigma16]
+        full = (1 << 16) - 1
+        stacks = {0}
+        for depth in range(4):
+            deeper = set()
+            for used in stacks:
+                expected = [m for m in masks if not m & used]
+                assert sorted(_fitting_layers(2, full ^ used, 16)) == sorted(expected)
+                deeper.update(used | m for m in expected)
+            stacks = deeper
+        assert stacks == {full}
+
+    def test_order_three_matches_brute_force_filter(self):
+        masks = [m.mask for m in enumerate_sigma(3)]
+        full = (1 << 81) - 1
+        for seed in (0, 1):
+            used = 0
+            for layer in decompose(gen_sudoku(3, RandomSource(seed))[0])[:8]:
+                used |= layer.mask
+                expected = [m for m in masks if not m & used]
+                assert sorted(_fitting_layers(3, full ^ used, len(masks))) == sorted(expected)
+
+    def test_none_past_cap(self, sigma16):
+        full = (1 << 16) - 1
+        free = full ^ sigma16[0].mask
+        assert len(_fitting_layers(2, free, 7)) == 7
+        assert _fitting_layers(2, free, 6) is None
+        assert _fitting_layers(2, full, 15) is None
+        # a dead end is an empty list, not None
+        assert _fitting_layers(2, 0, 0) == []
+
+    def test_order_four_stops_at_cap(self):
+        # about 1.1e11 layers fit the empty order-4 grid; the walk stops
+        # after cap + 1 of them
+        t0 = time.perf_counter()
+        assert _fitting_layers(4, (1 << 256) - 1, 1000) is None
+        assert time.perf_counter() - t0 < 5.0
+
+
 class TestRestartPolicy:
     def test_default_budget_scales_with_order(self):
         assert RestartPolicy().budget_for(2) == 20_000
@@ -307,12 +351,16 @@ class TestLayeredGenerator:
         assert stats.restarts == 0
 
     def test_scripted_forced_last_layer(self):
-        # three drawn layers suffice: the fourth is the uncovered cells
-        src = ScriptedSource(DRAWS_L1 + DRAWS_L2 + DRAWS_L3)
+        # layer 1 is drawn, layers 2 and 3 take one index draw each into
+        # the enumerated layers that fit (L2 and L3 come first), and the
+        # fourth is the uncovered cells
+        src = ScriptedSource(DRAWS_L1 + [1, 1])
         cells, stats = gen_sudoku(2, src)
         assert cells == EXAMPLE
         assert src.exhausted
+        assert src.calls == [2, 1, 2, 1, 2, 1, 2, 1, 7, 4]
         assert stats.candidates == 4
+        assert stats.exact_layers == 2
         assert stats.rejections_per_layer == [0, 0, 0, 0]
 
     def test_scripted_restart_path(self):
@@ -328,6 +376,9 @@ class TestLayeredGenerator:
         assert stats.rejections_per_layer == [0, 1, 0, 0]
         assert stats.candidates == 6
         assert src.exhausted
+        # a budget of 1 caps the enumeration below the 7 layers that fit
+        # after layer 1, so layers 2 and 3 are drawn blindly
+        assert stats.exact_layers == 0
 
     def test_scripted_backtrack_path(self):
         script = DRAWS_L1 + DRAWS_L1 + DRAWS_L1 + DRAWS_L2 + DRAWS_L3
@@ -348,6 +399,21 @@ class TestLayeredGenerator:
         assert stats is not None
         assert stats.restarts == 1
         assert stats.candidates == 2
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("mode", ["restart", "backtrack"])
+    def test_dead_ends_are_exact_at_order_three(self, mode, seed):
+        # both seeds abandon stacks under both policies; layers 5..8 are
+        # picked from enumerations and never rejected, and no blind layer
+        # comes near the budget, so every abandoned stack was a dead end.
+        # Seed 1 backtracks into a stack whose every layer dead-ends, which
+        # only terminates because a dead-ended layer is not picked again.
+        cells, stats = gen_sudoku(3, RandomSource(seed), RestartPolicy(mode=mode))
+        assert is_sudoku(cells)
+        assert stats.restarts + stats.backtracks > 0
+        assert stats.rejections_per_layer[4:] == [0] * 5
+        assert 0 < max(stats.rejections_per_layer) < RestartPolicy().budget_for(3)
+        assert stats.exact_layers >= 4
 
     @pytest.mark.parametrize("n,seed", [(1, 5), (2, 5), (3, 1)])
     def test_output_is_valid(self, n, seed):
@@ -379,11 +445,14 @@ class TestLayeredGenerator:
             "restarts",
             "backtracks",
             "candidates",
+            "exact_layers",
             "wall_time_s",
             "gen_time_s",
             "check_time_s",
         ]
-        assert d["schema_version"] == 1
+        assert d["schema_version"] == 2
+        # at order 2 layers 2 and 3 are always picked from an enumeration
+        assert d["exact_layers"] == 2
 
     def test_exact_law_order_two(self, sigma16, sudoku288_keys):
         law, dead = layered_law(sigma16, 4)
