@@ -20,9 +20,9 @@ from fractions import Fraction
 
 from .errors import InfeasibleError, UnknownSigmaError
 from .perm import _is_perm_trusted, gen_perm_direct, is_permutation
-from .pi import gen_pi_direct, is_pi
+from .pi import _pi_draw_bounds, gen_pi_direct, is_pi
 from .rng import RandomSource
-from .sigma import SigmaMatrix, _phi_mask, is_sigma, ratio_as_float
+from .sigma import SigmaMatrix, _bit_rows, _phi_mask, is_sigma, ratio_as_float
 from .sudoku import SIGMA_COUNTS
 
 GENERATOR_IDS = (
@@ -111,7 +111,7 @@ class EvalReport:
 
 def _attempt_perm_rejection(n, source, perf):
     t0 = perf()
-    cand = [source.uniform_int(n) for _ in range(n)]
+    cand = source.uniform_seq([n] * n)
     t1 = perf()
     ok = _is_perm_trusted(cand, n)
     return ok, t1 - t0, perf() - t1
@@ -127,7 +127,8 @@ def _attempt_perm_direct(n, source, perf):
 
 def _attempt_pi_rejection(n, source, perf):
     t0 = perf()
-    rows = [[source.uniform_int(n) for _ in range(n)] for _ in range(2 * n)]
+    flat = source.uniform_seq([n] * (2 * n * n))
+    rows = [flat[i : i + n] for i in range(0, 2 * n * n, n)]
     t1 = perf()
     ok = all(_is_perm_trusted(row, n) for row in rows)
     return ok, t1 - t0, perf() - t1
@@ -144,24 +145,31 @@ def _attempt_pi_direct(n, source, perf):
 def _attempt_sigma_rejection(n, source, perf):
     side = n * n
     t0 = perf()
-    rows = [[source.uniform_int(2) - 1 for _ in range(side)] for _ in range(side)]
+    rows = _bit_rows(source.uniform_seq([2] * (side * side)), side)
     t1 = perf()
     ok = is_sigma(rows)
     return ok, t1 - t0, perf() - t1
 
 
 def _attempt_sudoku_rejection(n, source, perf):
-    t0 = perf()
-    masks = [_phi_mask(gen_pi_direct(n, source), n) for _ in range(n * n)]
-    t1 = perf()
+    # Layers are decoded one at a time and tested against the union of
+    # the earlier ones; at the first overlap the later layers' values are
+    # drawn unused, so every attempt consumes the same stream.
+    side = n * n
+    check_time = 0.0
     acc = 0
-    ok = True
-    for m in masks:
-        if acc & m:
-            ok = False
-            break
-        acc |= m
-    return ok, t1 - t0, perf() - t1
+    start = perf()
+    for k in range(side):
+        mask = _phi_mask(gen_pi_direct(n, source), n)
+        t0 = perf()
+        overlap = acc & mask
+        acc |= mask
+        t1 = perf()
+        check_time += t1 - t0
+        if overlap:
+            source.uniform_seq(_pi_draw_bounds(n) * (side - 1 - k))
+            return False, perf() - start - check_time, check_time
+    return True, perf() - start - check_time, check_time
 
 
 _ATTEMPTS = {
@@ -202,7 +210,11 @@ def estimate_p(
     Runs the attempt body ``samples`` times and reports the acceptance
     fraction as an exact rational next to the closed form, with the
     binomial standard error sqrt(p(1-p)/samples) and mean per-phase wall
-    times (the check phase alone is the classic theta term).
+    times (the check phase alone is the classic theta term).  A
+    ``sudoku-rejection`` attempt stops decoding layers at the first one
+    that overlaps the earlier ones but still draws the values of the
+    rest, so each attempt consumes the same stream; its check time is
+    the time spent in the overlap tests.
     """
     if generator_id not in GENERATOR_IDS:
         raise ValueError(f"unknown generator id {generator_id!r}")

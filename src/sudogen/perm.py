@@ -58,11 +58,11 @@ def gen_perm_rejection(
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    uniform = source.uniform_int
+    ks = [n] * n
     iterations = 0
     while True:
         iterations += 1
-        candidate = [uniform(n) for _ in range(n)]
+        candidate = source.uniform_seq(ks)
         if _is_perm_trusted(candidate, n):
             return candidate, iterations
         if max_iterations is not None and iterations >= max_iterations:
@@ -74,28 +74,39 @@ def gen_perm_rejection(
 def gen_perm_direct(n: int, source: RandomSource, variant: str = "shift") -> list[int]:
     """Uniform random permutation from exactly n draws, never rejecting.
 
-    Draw k selects position x in the remaining pool of n-k+1 values.
-    The default "shift" variant deletes the chosen value by shifting the
-    tail left one slot, which costs O(n) per draw and O(n^2) overall.
-    The "swap" variant instead moves the last live value into the hole,
-    O(1) per draw; it exists for benchmarking the difference.
+    Draw k selects position x in the remaining pool of n-k+1 values; the
+    n draws are made in one ``uniform_seq`` call.  The default "shift"
+    variant deletes the chosen value by shifting the tail left one slot,
+    which costs O(n) per draw and O(n^2) overall.  The "swap" variant
+    instead moves the last live value into the hole, O(1) per draw; it
+    exists for benchmarking the difference.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if variant not in ("shift", "swap"):
         raise ValueError(f"unknown variant {variant!r}")
-    uniform = source.uniform_int
-    v = list(range(1, n + 1))
-    out = []
-    if variant == "swap":
-        for live in range(n, 0, -1):
-            x = uniform(live)
-            out.append(v[x - 1])
-            v[x - 1] = v[live - 1]
-        return out
-    for live in range(n, 0, -1):
-        x = uniform(live)
+    return _decode_perms(source.uniform_seq(range(n, 0, -1)), n, variant)[0]
+
+
+def _decode_perms(xs: list[int], n: int, variant: str = "shift") -> list[list[int]]:
+    # The permutations of 1..n that consecutive runs of n draws select.
+    # In each run the draws come from {1..n}, {1..n-1}, ..., {1}, and
+    # each picks a position among the values not chosen yet.
+    swap = variant == "swap"
+    rows = []
+    pool = list(range(1, n + 1))
+    live = 0  # values not chosen yet in the current run
+    for x in xs:
+        if not live:
+            live = n
+            v = pool[:]
+            out = []
+            rows.append(out)
         out.append(v[x - 1])
-        for j in range(x - 1, live - 1):
-            v[j] = v[j + 1]
-    return out
+        if swap:
+            v[x - 1] = v[live - 1]
+        else:
+            for j in range(x - 1, live - 1):
+                v[j] = v[j + 1]
+        live -= 1
+    return rows

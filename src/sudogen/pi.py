@@ -10,11 +10,12 @@ those terms.
 
 from __future__ import annotations
 
+import functools
 from itertools import permutations, product
 from typing import Iterator
 
 from .errors import BudgetExhaustedError
-from .perm import _is_perm_trusted, gen_perm_direct, is_permutation
+from .perm import _decode_perms, _is_perm_trusted, is_permutation
 from .rng import RandomSource
 
 
@@ -59,11 +60,12 @@ def gen_pi_rejection(
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    uniform = source.uniform_int
+    ks = [n] * (2 * n * n)
     iterations = 0
     while True:
         iterations += 1
-        rows = [[uniform(n) for _ in range(n)] for _ in range(2 * n)]
+        flat = source.uniform_seq(ks)
+        rows = [flat[i : i + n] for i in range(0, 2 * n * n, n)]
         if all(_is_perm_trusted(row, n) for row in rows):
             return rows, iterations
         if max_iterations is not None and iterations >= max_iterations:
@@ -73,10 +75,23 @@ def gen_pi_rejection(
 
 
 def gen_pi_direct(n: int, source: RandomSource, variant: str = "shift") -> list[list[int]]:
-    """Uniform random pi matrix: one direct permutation per row, no rejection."""
+    """Uniform random pi matrix: one direct permutation per row, no rejection.
+
+    All 2n^2 draws are made in one ``uniform_seq`` call, row after row in
+    the order ``gen_perm_direct`` would make them, and each row is decoded
+    as that function decodes its draws.
+    """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    return [gen_perm_direct(n, source, variant=variant) for _ in range(2 * n)]
+    if variant not in ("shift", "swap"):
+        raise ValueError(f"unknown variant {variant!r}")
+    return _decode_perms(source.uniform_seq(_pi_draw_bounds(n)), n, variant)
+
+
+@functools.cache
+def _pi_draw_bounds(n: int) -> tuple[int, ...]:
+    # The k of each draw gen_pi_direct(n, ...) makes, in order.
+    return tuple(range(n, 0, -1)) * (2 * n)
 
 
 def pi_disjoint(c: list[list[int]], d: list[list[int]]) -> bool:

@@ -47,7 +47,9 @@ class RandomSource:
 
     A source is single-consumer: it may be handed from one thread to
     another but never used from two at once.  ``draws`` counts the
-    number of ``uniform_int`` calls made, for instrumentation.
+    values drawn, one per ``uniform_int`` call and one per entry of a
+    ``uniform_seq`` call, for instrumentation.  Both methods consume the
+    engine identically, so batching draws never changes a seeded stream.
     """
 
     def __init__(self, seed: int | None = None):
@@ -71,6 +73,33 @@ class RandomSource:
         while r >= k:
             r = self._getrandbits(bits)
         return r + 1
+
+    def uniform_seq(self, ks) -> list[int]:
+        """One uniform draw from {1..k} for each k in ``ks``, in order.
+
+        Makes exactly the ``getrandbits`` calls of
+        ``[uniform_int(k) for k in ks]`` and returns the same values, in
+        one call instead of one per draw.  Adds ``len(ks)`` to ``draws``.
+        ValueError if any k < 1, raised before anything is drawn.
+        """
+        if ks and min(ks) < 1:
+            raise ValueError(f"k must be >= 1, got {min(ks)}")
+        getrandbits = self._getrandbits
+        out = []
+        append = out.append
+        for k in ks:
+            if k == 1:
+                append(1)
+            elif k == 2:  # one bit, never rejected
+                append(getrandbits(1) + 1)
+            else:
+                bits = (k - 1).bit_length()
+                r = getrandbits(bits)
+                while r >= k:
+                    r = getrandbits(bits)
+                append(r + 1)
+        self.draws += len(out)
+        return out
 
     def spawn(self, index: int) -> "RandomSource":
         """Independent child source for parallel attempt ``index``."""

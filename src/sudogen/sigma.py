@@ -13,6 +13,7 @@ single integer AND.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -106,10 +107,39 @@ def block_order(rows: list[list[int]]) -> int:
     return n
 
 
+# Orders that read their bits from _phi_bits.  Its n^4 masks of n^4 bits
+# take about 1 MB at n = 8 and grow as n^8 (270 MB at n = 16), so larger
+# orders compute each bit instead.
+_PHI_TABLE_MAX_ORDER = 8
+
+
+@functools.cache
+def _phi_bits(n: int) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
+    # [s][t][k - 1][l - 1]: the single bit of in-block position (k, l) of
+    # block (s, t), for every block and position of order n.
+    side = n * n
+    return tuple(
+        tuple(
+            tuple(
+                tuple(1 << ((s * n + k) * side + t * n + l) for l in range(n))
+                for k in range(n)
+            )
+            for t in range(n)
+        )
+        for s in range(n)
+    )
+
+
 def _phi_mask(rows: list[list[int]], n: int) -> int:
     # Trusted hot path: caller guarantees rows is a valid pi matrix.
-    side = n * n
     mask = 0
+    if n <= _PHI_TABLE_MAX_ORDER:
+        for s, bits_s in enumerate(_phi_bits(n)):
+            row_s = rows[s]
+            for t, bits_st in enumerate(bits_s):
+                mask |= bits_st[row_s[t] - 1][rows[n + t][s] - 1]
+        return mask
+    side = n * n
     for s in range(n):
         row_s = rows[s]
         for t in range(n):
@@ -161,42 +191,38 @@ def phi_inverse(a: SigmaMatrix) -> list[list[int]]:
     return rows
 
 
-def is_sigma(rows: list[list[int]]) -> bool:
-    """Membership check for dense 0/1 matrices, in two phases.
+_BINARY = frozenset((0, 1))
 
-    Phase 1 accumulates row i and column i sums in one sweep, exiting as
-    soon as a sum exceeds 1 or finishes at 0 (not a permutation matrix).
-    Phase 2 sums each n x n block and requires exactly one 1.  The side
-    must be a perfect square and entries must be 0/1; anything else is a
-    malformed candidate and raises ValueError.
+
+def is_sigma(rows: list[list[int]]) -> bool:
+    """Membership check for dense 0/1 matrices, in three phases.
+
+    Phase 1 requires every entry to be 0 or 1, one set test per row.
+    Phase 2 requires every row sum and then every column sum to be 1,
+    exiting at the first that is not; the matrix is then a permutation
+    matrix.  Phase 3 locates the 1 of each row and requires the n^2 ones
+    to fall in n^2 distinct n x n blocks.  The side must be a perfect
+    square and entries must be 0/1; anything else is a malformed
+    candidate and raises ValueError naming the first bad entry.
     """
     n = block_order(rows)
-    side = n * n
     for i, row in enumerate(rows, start=1):
-        for v in row:
-            if v not in (0, 1):
-                raise ValueError(f"entry {v!r} in row {i} is not binary")
-    for i in range(side):
-        r = 0
-        c = 0
-        for j in range(side):
-            r += rows[i][j]
-            if r > 1:
-                return False
-            c += rows[j][i]
-            if c > 1:
-                return False
-        if r == 0 or c == 0:
+        try:
+            binary = _BINARY.issuperset(row)
+        except TypeError:  # an unhashable entry
+            binary = False
+        if not binary:
+            for v in row:
+                if v not in (0, 1):
+                    raise ValueError(f"entry {v!r} in row {i} is not binary")
+    for row in rows:
+        if sum(row) != 1:
             return False
-    for s in range(n):
-        for t in range(n):
-            x = 0
-            for i in range(n):
-                for j in range(n):
-                    x += rows[s * n + i][t * n + j]
-            if x != 1:
-                return False
-    return True
+    for column in zip(*rows):
+        if sum(column) != 1:
+            return False
+    blocks = {(i // n, row.index(1) // n) for i, row in enumerate(rows)}
+    return len(blocks) == n * n
 
 
 def sigma_disjoint(a: SigmaMatrix, b: SigmaMatrix) -> bool:
@@ -228,17 +254,23 @@ def gen_sigma_rejection(
             expected_iterations=expected,
         )
     side = n * n
-    uniform = source.uniform_int
+    ks = [2] * (side * side)
     iterations = 0
     while True:
         iterations += 1
-        rows = [[uniform(2) - 1 for _ in range(side)] for _ in range(side)]
+        rows = _bit_rows(source.uniform_seq(ks), side)
         if is_sigma(rows):
             return SigmaMatrix.from_rows(rows), iterations
         if max_iterations is not None and iterations >= max_iterations:
             raise BudgetExhaustedError(
                 f"no block permutation matrix of order {n} found in {iterations} attempts"
             )
+
+
+def _bit_rows(draws: list[int], side: int) -> list[list[int]]:
+    # Draws from {1, 2}, row-major, as the rows of a side x side 0/1 matrix.
+    bits = [x - 1 for x in draws]
+    return [bits[i : i + side] for i in range(0, side * side, side)]
 
 
 def _sigma_rejection_expected_iterations(n: int) -> float:

@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .errors import BudgetExhaustedError, CompositionError, InfeasibleError
 from .perm import _is_perm_trusted
-from .pi import gen_pi_direct
+from .pi import _pi_draw_bounds, gen_pi_direct
 from .rng import RandomSource
 # is_sigma is unused here but stays importable as ``sudoku.is_sigma``,
 # which the cli-pipeline benchmark's traced replay hooks by name.
@@ -95,8 +95,12 @@ def compose(layers: list[SigmaMatrix]) -> list[list[int]]:
                 position=(i + 1, j + 1),
             )
         acc |= layer.mask
-        for i, j in layer.ones():
-            cells[i - 1][j - 1] = k
+        mask = layer.mask
+        while mask:
+            low = mask & -mask
+            i, j = divmod(low.bit_length() - 1, side)
+            cells[i][j] = k
+            mask ^= low
     missing = ~acc & ((1 << (side * side)) - 1)
     if missing:
         i, j = divmod((missing & -missing).bit_length() - 1, side)
@@ -437,7 +441,9 @@ def gen_sudoku_rejection(
     Ordered disjoint tuples correspond one-to-one to Sudoku matrices, so
     each attempt succeeds with probability sigma_n / ((n!)^(2n))^(n^2):
     1 at n = 1, 288/65536 at n = 2, and about 6.6e-21 at n = 3, so
-    n >= 3 is refused with the expected iteration count.
+    n >= 3 is refused with the expected iteration count.  An attempt
+    decodes its layers only up to the first that overlaps an earlier
+    one, but draws the values of all n^2 layers.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
@@ -447,16 +453,19 @@ def gen_sudoku_rejection(
     iterations = 0
     while True:
         iterations += 1
-        layers = [
-            SigmaMatrix(n, _phi_mask(gen_pi_direct(n, source), n)) for _ in range(side)
-        ]
         acc = 0
-        for layer in layers:
-            if acc & layer.mask:
+        masks = []
+        for k in range(side):
+            mask = _phi_mask(gen_pi_direct(n, source), n)
+            if acc & mask:
+                # the later layers' values are drawn unused, so every
+                # attempt consumes the same stream
+                source.uniform_seq(_pi_draw_bounds(n) * (side - 1 - k))
                 break
-            acc |= layer.mask
+            acc |= mask
+            masks.append(mask)
         else:
-            cells = compose(layers)
+            cells = compose([SigmaMatrix(n, mask) for mask in masks])
             assert is_sudoku(cells)
             return cells, iterations
         if max_iterations is not None and iterations >= max_iterations:

@@ -13,6 +13,8 @@ class ScriptedSource:
     Each ``uniform_int(k)`` pops the next scripted value (asserting it
     fits in 1..k) and records k in ``calls``, so tests can pin down both
     the exact draws an algorithm makes and what it does with them.
+    ``uniform_seq(ks)`` makes one such draw per k, so ``calls`` records
+    batched draws too.
     """
 
     def __init__(self, values):
@@ -33,6 +35,9 @@ class ScriptedSource:
         self.calls.append(k)
         assert 1 <= value <= k, f"scripted value {value} does not fit 1..{k}"
         return value
+
+    def uniform_seq(self, ks) -> list[int]:
+        return [self.uniform_int(k) for k in ks]
 
     @property
     def exhausted(self) -> bool:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import sudogen.analysis as analysis
 from conftest import ScriptedSource
 from sudogen import (
     BENCH_IDS,
@@ -15,6 +16,9 @@ from sudogen import (
     bench_tau,
     closed_form_p,
     estimate_p,
+    gen_pi_direct,
+    gen_sigma_rejection,
+    gen_sudoku_rejection,
 )
 
 SIGMA_3 = 6_670_903_752_021_072_936_960
@@ -167,6 +171,63 @@ class TestEstimate:
         assert int(emp["numerator"]) == report.empirical_p.numerator
         assert int(emp["denominator"]) == report.empirical_p.denominator
         assert d["seed"] == 5
+
+
+class TestSeededStream:
+    """Seeded results pinned from the version that drew one value per
+    ``uniform_int`` call.  Batched draws and early exits must give the
+    same results, consume the same draws and leave the source in the
+    same state."""
+
+    @pytest.mark.parametrize(
+        "generator_id,n,seed,successes,draws,next_draw",
+        [
+            ("perm-rejection", 3, 1001, 4495, 60_000, 286_312_347),
+            ("pi-rejection", 2, 1002, 1252, 160_000, 460_698_277),
+            ("sigma-rejection", 2, 1003, 3, 320_000, 994_379_136),
+            ("sudoku-rejection", 2, 1004, 110, 640_000, 869_600_268),
+            ("perm-direct", 16, 600, 20_000, 320_000, 650_037_680),
+            ("pi-direct", 4, 601, 20_000, 640_000, 1_010_848_170),
+        ],
+    )
+    def test_estimate(self, generator_id, n, seed, successes, draws, next_draw):
+        src = RandomSource(seed)
+        report = estimate_p(generator_id, n, 20_000, src)
+        assert report.successes == successes
+        assert src.draws == draws
+        assert src.uniform_int(2**30) == next_draw
+
+    def test_sudoku_rejection_generator(self):
+        src = RandomSource(5)
+        cells, iterations = gen_sudoku_rejection(2, src)
+        assert (iterations, src.draws) == (16, 512)
+        assert cells == [[2, 1, 3, 4], [4, 3, 1, 2], [1, 2, 4, 3], [3, 4, 2, 1]]
+
+    def test_sigma_rejection_generator(self):
+        src = RandomSource(5)
+        m, iterations = gen_sigma_rejection(2, src)
+        assert (iterations, src.draws) == (4587, 73_392)
+        assert m.mask == 0x8142
+
+
+class TestSudokuRejectionEarlyExit:
+    def test_stops_decoding_at_the_first_overlap(self, monkeypatch):
+        # every layer is the same, so layer 2 overlaps layer 1 in each of
+        # the 100 attempts; layers 3 and 4 are drawn but never decoded
+        decoded = []
+
+        def counting_gen_pi_direct(n, source):
+            decoded.append(n)
+            return gen_pi_direct(n, source)
+
+        monkeypatch.setattr(analysis, "gen_pi_direct", counting_gen_pi_direct)
+        src = ScriptedSource([1] * 32 * 100)
+        report = estimate_p("sudoku-rejection", 2, 100, src)
+        assert report.successes == 0
+        assert src.exhausted
+        assert src.calls == [2, 1] * 16 * 100
+        assert len(decoded) == 2 * 100
+        assert 0 <= report.mean_check_time_s <= report.mean_iteration_time_s
 
 
 class TestEstimatePanel:

@@ -19,6 +19,7 @@ CHEAP = [
     "sudogen gen-sudoku --n 3 --seed 7 --pretty --stats",
     "sudogen gen-pi --n 2 --seed 1 | sudogen map --phi | sudogen check --kind sigma",
     "sudogen gen-sudoku --n 2 --seed 5 | sudogen decompose | sudogen compose",
+    "sudogen estimate --generator sudoku-rejection --n 2 --samples 200000 --seed 1",
 ]
 
 

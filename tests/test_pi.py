@@ -10,6 +10,7 @@ from sudogen import (
     RandomSource,
     check_pi,
     enumerate_pi,
+    gen_perm_direct,
     gen_pi_direct,
     gen_pi_rejection,
     is_pi,
@@ -89,6 +90,16 @@ class TestDirectGenerator:
         assert len(rows) == 10
         assert all(len(row) == 5 for row in rows)
         assert src.draws == 2 * 5 * 5
+
+    @pytest.mark.parametrize("variant", ["shift", "swap"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_rows_are_direct_permutations_of_one_stream(self, n, variant):
+        batched = RandomSource(n)
+        single = RandomSource(n)
+        rows = gen_pi_direct(n, batched, variant)
+        assert rows == [gen_perm_direct(n, single, variant) for _ in range(2 * n)]
+        assert batched.draws == single.draws
+        assert batched.uniform_int(2**30) == single.uniform_int(2**30)
 
     @given(
         n=st.integers(min_value=1, max_value=8),

@@ -104,6 +104,43 @@ def test_range_property(seed, k):
         assert 1 <= src.uniform_int(k) <= k
 
 
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    ks=st.lists(
+        st.one_of(
+            st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 16, 2**30]),
+            st.integers(min_value=1, max_value=2**30),
+        ),
+        max_size=40,
+    ),
+)
+@settings(max_examples=300)
+def test_uniform_seq_matches_uniform_int(seed, ks):
+    batched = RandomSource(seed)
+    single = RandomSource(seed)
+    assert batched.uniform_seq(ks) == [single.uniform_int(k) for k in ks]
+    assert batched.draws == single.draws == len(ks)
+    assert batched.uniform_int(2**30) == single.uniform_int(2**30)
+
+
+def test_uniform_seq_takes_a_range():
+    batched = RandomSource(4)
+    single = RandomSource(4)
+    assert batched.uniform_seq(range(9, 0, -1)) == [single.uniform_int(k) for k in range(9, 0, -1)]
+    assert batched.uniform_seq([]) == []
+    assert batched.draws == 9
+
+
+@pytest.mark.parametrize("ks", [[0], [3, 0], [2, 5, -1], [-4, 7]])
+def test_uniform_seq_rejects_k_below_one_before_drawing(ks):
+    src = RandomSource(9)
+    twin = RandomSource(9)
+    with pytest.raises(ValueError):
+        src.uniform_seq(ks)
+    assert src.draws == 0
+    assert src.uniform_int(2**30) == twin.uniform_int(2**30)
+
+
 def test_histogram_k4():
     # binomial bound: sigma = sqrt(100000 * 1/4 * 3/4) ~ 136.9, 3 sigma ~ 411
     src = RandomSource(20240817)

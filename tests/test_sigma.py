@@ -20,6 +20,7 @@ from sudogen import (
     phi_inverse,
     sigma_disjoint,
 )
+from sudogen.sigma import block_order
 
 
 def perm_matrix(p):
@@ -87,6 +88,17 @@ class TestPhi:
                 filtered.add(SigmaMatrix.from_rows(rows).mask)
         assert filtered == image
         assert len(filtered) == 16
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+    def test_image_has_the_selected_ones(self, n):
+        # orders up to 8 read their bits from a cached table, larger
+        # orders compute them
+        rows = gen_pi_direct(n, RandomSource(n))
+        ones = [
+            (s * n + rows[s][t], t * n + rows[n + t][s]) for s in range(n) for t in range(n)
+        ]
+        assert phi(rows) == SigmaMatrix.from_ones(n, ones)
 
 
 class TestPhiInverse:
@@ -160,6 +172,85 @@ class TestIsSigma:
     def test_sixteen_of_24_permutation_matrices(self):
         hits = sum(1 for p in permutations(range(4)) if is_sigma(perm_matrix(p)))
         assert hits == 16
+
+
+def reference_is_sigma(rows):
+    """The per-entry is_sigma that the set-based one replaced."""
+    n = block_order(rows)
+    side = n * n
+    for i, row in enumerate(rows, start=1):
+        for v in row:
+            if v not in (0, 1):
+                raise ValueError(f"entry {v!r} in row {i} is not binary")
+    for i in range(side):
+        r = 0
+        c = 0
+        for j in range(side):
+            r += rows[i][j]
+            if r > 1:
+                return False
+            c += rows[j][i]
+            if c > 1:
+                return False
+        if r == 0 or c == 0:
+            return False
+    for s in range(n):
+        for t in range(n):
+            x = 0
+            for i in range(n):
+                for j in range(n):
+                    x += rows[s * n + i][t * n + j]
+            if x != 1:
+                return False
+    return True
+
+
+ODD_ENTRIES = [2, -1, 0.5, 1.0, 0.0, True, False, "1", None, [], {}, (1,)]
+
+
+@st.composite
+def dense_candidates(draw):
+    """Square 0/1 matrices, mostly of perfect-square side: random, valid
+    block permutation matrices, or permutation matrices that may break
+    the block rule; then perturbed by flipped or odd entries, or one row
+    made ragged."""
+    side = draw(st.sampled_from([1, 2, 3, 4, 4, 9]))
+    base = draw(st.sampled_from(["random", "sigma", "permutation"]))
+    if base == "sigma" and side in (1, 4, 9):
+        n = {1: 1, 4: 2, 9: 3}[side]
+        rows = phi(gen_pi_direct(n, RandomSource(draw(st.integers(0, 2**32))))).to_rows()
+    elif base == "permutation":
+        rows = perm_matrix(draw(st.permutations(range(side))))
+    else:
+        rows = [[draw(st.sampled_from([0, 1])) for _ in range(side)] for _ in range(side)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, side - 1))
+        j = draw(st.integers(0, side - 1))
+        rows[i][j] = draw(st.sampled_from([0, 1] + ODD_ENTRIES))
+    if draw(st.integers(0, 9)) == 0:
+        rows[draw(st.integers(0, side - 1))].pop()
+    return rows
+
+
+def outcome(check, rows):
+    try:
+        return check(rows)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(rows=dense_candidates())
+@settings(max_examples=500)
+def test_is_sigma_agrees_with_reference(rows):
+    assert outcome(is_sigma, rows) == outcome(reference_is_sigma, rows)
+
+
+def test_is_sigma_names_an_unhashable_entry():
+    rows = phi([[1, 2], [2, 1], [2, 1], [1, 2]]).to_rows()
+    assert is_sigma(rows)
+    rows[3][0] = []
+    with pytest.raises(ValueError, match=r"entry \[\] in row 4 is not binary"):
+        is_sigma(rows)
 
 
 class TestSigmaDisjoint:

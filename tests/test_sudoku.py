@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+import sudogen.sudoku as sudoku_mod
 from conftest import ScriptedSource, as_key
 from sudogen import (
     BudgetExhaustedError,
@@ -490,12 +491,22 @@ class TestRejectionGenerator:
         assert iterations == 1
         assert src.exhausted
 
-    def test_scripted_budget_and_draw_count(self):
-        # every attempt draws all four layers (32 values) before checking
+    def test_scripted_budget_and_draw_count(self, monkeypatch):
+        # every attempt draws all four layers (32 values), but decodes
+        # them only up to layer 2, the first that overlaps
+        decoded = []
+
+        def counting_gen_pi_direct(n, source):
+            decoded.append(n)
+            return gen_pi_direct(n, source)
+
+        monkeypatch.setattr(sudoku_mod, "gen_pi_direct", counting_gen_pi_direct)
         src = ScriptedSource(DRAWS_L1 * 4 * 2)
         with pytest.raises(BudgetExhaustedError):
             gen_sudoku_rejection(2, src, max_iterations=2)
         assert src.draws == 64
+        assert src.exhausted
+        assert len(decoded) == 2 * 2
 
     def test_mean_iterations_n2(self, sudoku288_keys):
         # p = 288/65536, expected ~227.56; 3 sigma over 500 successes ~ 30.5
