@@ -20,6 +20,10 @@ from .analysis import (
     chi_square_uniform,
     closed_form_p,
     estimate_p,
+    gen_perm_rejection,
+    gen_pi_rejection,
+    gen_sigma_rejection,
+    gen_sudoku_rejection,
 )
 from .errors import (
     BudgetExhaustedError,
@@ -45,12 +49,11 @@ from .formats import (
     sigma_json,
     sudoku_json,
 )
-from .perm import gen_perm_direct, gen_perm_rejection, is_permutation
+from .perm import gen_perm_direct, is_permutation
 from .pi import (
     check_pi,
     enumerate_pi,
     gen_pi_direct,
-    gen_pi_rejection,
     is_pi,
     pi_disjoint,
     pi_order,
@@ -59,7 +62,6 @@ from .rng import RandomSource, derive_seed, entropy_seed
 from .sigma import (
     SigmaMatrix,
     enumerate_sigma,
-    gen_sigma_rejection,
     is_sigma,
     phi,
     phi_inverse,
@@ -74,7 +76,6 @@ from .sudoku import (
     decompose,
     enumerate_sudoku,
     gen_sudoku,
-    gen_sudoku_rejection,
     is_sudoku,
     iter_sudoku,
     sudoku_order,

@@ -1,13 +1,17 @@
-"""Monte Carlo acceptance-rate estimation and iteration-time benchmarks.
+"""Las Vegas loops: the rejection generators, acceptance-rate estimation
+and iteration-time benchmarks.
 
 Every generator in this package is a Las Vegas loop: repeat a fixed
-attempt body (draw some random elements, run the membership check once)
-until the check passes.  This module evaluates the two quantities that
-determine expected running time: the acceptance probability of one
-attempt, estimated empirically and compared against an exact rational
-closed form, and the wall time of one attempt, measured as
+attempt (draw a candidate, run the membership check once) until the
+check passes.  Each generator id has one draw half and one check half
+here, and three callers share them: the one rejection loop behind
+``gen_perm_rejection``, ``gen_pi_rejection``, ``gen_sigma_rejection``
+and ``gen_sudoku_rejection``; ``estimate_p``, which estimates the
+acceptance probability of one attempt and compares it against an exact
+rational closed form; and ``bench_tau``, which times one attempt as
 median-of-repetitions with a log-log regression slope as the empirical
-scaling exponent.
+scaling exponent.  One rule refuses the requests no loop can finish,
+for the generators and ``estimate_p`` alike.
 """
 
 from __future__ import annotations
@@ -18,12 +22,12 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InfeasibleError, UnknownSigmaError
+from .errors import BudgetExhaustedError, InfeasibleError, UnknownSigmaError
 from .perm import _is_perm_trusted, gen_perm_direct, is_permutation
 from .pi import _pi_draw_bounds, gen_pi_direct, is_pi
 from .rng import RandomSource
-from .sigma import SigmaMatrix, _bit_rows, _phi_mask, is_sigma, ratio_as_float
-from .sudoku import SIGMA_COUNTS
+from .sigma import SigmaMatrix, _phi_mask, is_sigma
+from .sudoku import SIGMA_COUNTS, compose, is_sudoku
 
 GENERATOR_IDS = (
     "perm-rejection",
@@ -39,6 +43,14 @@ GENERATOR_IDS = (
 BENCH_IDS = GENERATOR_IDS + ("perm-check", "sigma-check")
 
 
+def ratio_as_float(num: int, den: int) -> float:
+    """num/den as a float; infinities instead of OverflowError."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > den else 0.0
+
+
 def closed_form_p(generator_id: str, n: int) -> Fraction:
     """Exact acceptance probability of one attempt, as a rational.
 
@@ -48,19 +60,26 @@ def closed_form_p(generator_id: str, n: int) -> Fraction:
     Sudoku count is known.  Direct generators accept with probability 1.
     All arithmetic is big-integer exact; nothing is rounded.
     """
+    return Fraction(*_acceptance_terms(generator_id, n))
+
+
+def _acceptance_terms(generator_id: str, n: int) -> tuple[int, int]:
+    # closed_form_p as an unreduced (numerator, denominator) pair: reducing
+    # a 2^(n^4) denominator takes seconds from about order 60, and a
+    # refusal only needs the quotient.
     if generator_id not in GENERATOR_IDS:
         raise ValueError(f"unknown generator id {generator_id!r}")
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     f = math.factorial(n)
     if generator_id == "perm-rejection":
-        return Fraction(f, n**n)
+        return f, n**n
     if generator_id in ("perm-direct", "pi-direct"):
-        return Fraction(1)
+        return 1, 1
     if generator_id == "pi-rejection":
-        return Fraction(f ** (2 * n), n ** (2 * n * n))
+        return f ** (2 * n), n ** (2 * n * n)
     if generator_id == "sigma-rejection":
-        return Fraction(f ** (2 * n), 2 ** (n**4))
+        return f ** (2 * n), 2 ** (n**4)
     # sudoku-rejection: attempts draw n^2 independent uniform block
     # permutation layers and accept iff pairwise disjoint; disjoint
     # ordered tuples correspond one-to-one to Sudoku matrices.
@@ -68,7 +87,185 @@ def closed_form_p(generator_id: str, n: int) -> Fraction:
         raise UnknownSigmaError(
             f"no exact Sudoku-matrix count is known for order {n}"
         )
-    return Fraction(SIGMA_COUNTS[n], (f ** (2 * n)) ** (n * n))
+    return SIGMA_COUNTS[n], (f ** (2 * n)) ** (n * n)
+
+
+def _refuse(generator_id: str, n: int) -> None:
+    # The one rule for requests no loop should start: orders below 1, and
+    # blind sigma and Sudoku sampling from order 3 on, which would take
+    # 1/closed_form_p attempts on average.
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    if n < 3 or generator_id not in ("sigma-rejection", "sudoku-rejection"):
+        return
+    try:
+        accepted, space = _acceptance_terms(generator_id, n)
+    except UnknownSigmaError:
+        # digits of ((n!)^(2n))^(n^2), without building it
+        digits = math.floor(2 * n**3 * math.log10(math.factorial(n))) + 1
+        raise InfeasibleError(
+            f"the Sudoku-matrix count is unknown for order {n}; the layer-tuple "
+            f"sample space alone has {digits} decimal digits",
+        ) from None
+    expected = ratio_as_float(space, accepted)
+    if generator_id == "sigma-rejection":
+        raise InfeasibleError(
+            f"blind bit-sampling at order {n} accepts with probability "
+            f"about 1/{expected:.3g}; expected {expected:.3g} iterations. "
+            f"Use the pi-matrix mapping instead.",
+            expected_iterations=expected,
+        )
+    raise InfeasibleError(
+        f"blind layer-tuple sampling at order {n} accepts with probability "
+        f"about 1/{expected:.3g}; expected {expected:.3g} iterations",
+        expected_iterations=expected,
+    )
+
+
+# The draw halves: draw(n, source) -> candidate, untimed.  They and the
+# check halves call gen_pi_direct, _phi_mask and is_sigma through this
+# module's globals at call time, where the benchmark's tracer wraps them.
+# Building a blind candidate's bounds tuple costs less than a cached
+# lookup of it.
+
+
+def _draw_perm(n, source):
+    return source.uniform_seq((n,) * n)
+
+
+def _draw_pi(n, source):
+    flat = source.uniform_seq((n,) * (2 * n * n))
+    return [flat[i : i + n] for i in range(0, 2 * n * n, n)]
+
+
+def _check_pi(rows, n):
+    return all(_is_perm_trusted(row, n) for row in rows)
+
+
+def _draw_sigma(n, source):
+    # n^4 draws from {1, 2}, row-major, as the rows of a 0/1 matrix
+    side = n * n
+    bits = [x - 1 for x in source.uniform_seq((2,) * (side * side))]
+    return [bits[i : i + side] for i in range(0, side * side, side)]
+
+
+def _draw_sudoku(n, source):
+    # The masks of n^2 random layers, decoded one at a time up to the
+    # first that overlaps an earlier one.  The later layers' values are
+    # drawn unused, so every attempt consumes the same stream.
+    side = n * n
+    acc = 0
+    masks = []
+    for k in range(side):
+        mask = _phi_mask(gen_pi_direct(n, source), n)
+        if acc & mask:
+            source.uniform_seq(_pi_draw_bounds(n) * (side - 1 - k))
+            break
+        acc |= mask
+        masks.append(mask)
+    return masks
+
+
+# generator id -> (draw half, check half(candidate, n) -> bool)
+_HALVES = {
+    "perm-rejection": (_draw_perm, _is_perm_trusted),
+    "perm-direct": (gen_perm_direct, is_permutation),
+    "pi-rejection": (_draw_pi, _check_pi),
+    "pi-direct": (lambda n, source: gen_pi_direct(n, source), lambda rows, n: is_pi(rows)),
+    "sigma-rejection": (_draw_sigma, lambda rows, n: is_sigma(rows)),
+    # the draw half stops at the first overlap, so a full stack is disjoint
+    "sudoku-rejection": (_draw_sudoku, lambda masks, n: len(masks) == n * n),
+}
+
+# what each rejection loop looks for, for its budget message
+_SOUGHT = {
+    "perm-rejection": "permutation",
+    "pi-rejection": "pi matrix",
+    "sigma-rejection": "block permutation matrix",
+    "sudoku-rejection": "Sudoku matrix",
+}
+
+
+def _las_vegas(generator_id: str, n: int, source: RandomSource, max_iterations: int | None):
+    # The one rejection loop: attempts until a candidate passes its check.
+    # Returns (candidate, attempts).
+    _refuse(generator_id, n)
+    draw, check = _HALVES[generator_id]
+    iterations = 0
+    while True:
+        iterations += 1
+        candidate = draw(n, source)
+        if check(candidate, n):
+            return candidate, iterations
+        if max_iterations is not None and iterations >= max_iterations:
+            raise BudgetExhaustedError(
+                f"no {_SOUGHT[generator_id]} of order {n} found in {iterations} attempts"
+            )
+
+
+def gen_perm_rejection(
+    n: int,
+    source: RandomSource,
+    max_iterations: int | None = None,
+) -> tuple[list[int], int]:
+    """Draw n uniform values until they happen to form a permutation.
+
+    Returns (permutation, number of attempts).  Las Vegas: terminates
+    with probability 1; ``max_iterations`` optionally bounds the attempt
+    count and raises BudgetExhaustedError when exceeded.
+    """
+    return _las_vegas("perm-rejection", n, source, max_iterations)
+
+
+def gen_pi_rejection(
+    n: int,
+    source: RandomSource,
+    max_iterations: int | None = None,
+) -> tuple[list[list[int]], int]:
+    """Fill all 2n^2 cells blindly, accept iff every row is a permutation.
+
+    Returns (matrix, attempts); attempts is geometric with success
+    probability (n!)^(2n) / n^(2n^2).
+    """
+    return _las_vegas("pi-rejection", n, source, max_iterations)
+
+
+def gen_sigma_rejection(
+    n: int,
+    source: RandomSource,
+    max_iterations: int | None = None,
+) -> tuple[SigmaMatrix, int]:
+    """Draw n^4 random bits, accept iff they form a block permutation matrix.
+
+    Success probability per attempt is (n!)^(2n) / 2^(n^4): one half at
+    n = 1, 16/65536 at n = 2, and hopeless beyond, so n >= 3 is refused
+    outright with the expected iteration count.
+    """
+    rows, iterations = _las_vegas("sigma-rejection", n, source, max_iterations)
+    return SigmaMatrix.from_rows(rows), iterations
+
+
+def gen_sudoku_rejection(
+    n: int,
+    source: RandomSource,
+    max_iterations: int | None = None,
+) -> tuple[list[list[int]], int]:
+    """One-shot rejection sampling over complete layer tuples.
+
+    Each attempt draws n^2 independent uniform block permutation
+    matrices (via the pi bijection) and accepts iff they are pairwise
+    disjoint, in which case their composition is a Sudoku matrix.
+    Ordered disjoint tuples correspond one-to-one to Sudoku matrices, so
+    each attempt succeeds with probability sigma_n / ((n!)^(2n))^(n^2):
+    1 at n = 1, 288/65536 at n = 2, and about 6.6e-21 at n = 3, so
+    n >= 3 is refused with the expected iteration count.  An attempt
+    decodes its layers only up to the first that overlaps an earlier
+    one, but draws the values of all n^2 layers.
+    """
+    masks, iterations = _las_vegas("sudoku-rejection", n, source, max_iterations)
+    cells = compose([SigmaMatrix(n, mask) for mask in masks])
+    assert is_sudoku(cells)
+    return cells, iterations
 
 
 def _frac_dict(value: Fraction) -> dict:
@@ -109,96 +306,6 @@ class EvalReport:
         }
 
 
-def _attempt_perm_rejection(n, source, perf):
-    t0 = perf()
-    cand = source.uniform_seq([n] * n)
-    t1 = perf()
-    ok = _is_perm_trusted(cand, n)
-    return ok, t1 - t0, perf() - t1
-
-
-def _attempt_perm_direct(n, source, perf):
-    t0 = perf()
-    cand = gen_perm_direct(n, source)
-    t1 = perf()
-    ok = is_permutation(cand)
-    return ok, t1 - t0, perf() - t1
-
-
-def _attempt_pi_rejection(n, source, perf):
-    t0 = perf()
-    flat = source.uniform_seq([n] * (2 * n * n))
-    rows = [flat[i : i + n] for i in range(0, 2 * n * n, n)]
-    t1 = perf()
-    ok = all(_is_perm_trusted(row, n) for row in rows)
-    return ok, t1 - t0, perf() - t1
-
-
-def _attempt_pi_direct(n, source, perf):
-    t0 = perf()
-    rows = gen_pi_direct(n, source)
-    t1 = perf()
-    ok = is_pi(rows)
-    return ok, t1 - t0, perf() - t1
-
-
-def _attempt_sigma_rejection(n, source, perf):
-    side = n * n
-    t0 = perf()
-    rows = _bit_rows(source.uniform_seq([2] * (side * side)), side)
-    t1 = perf()
-    ok = is_sigma(rows)
-    return ok, t1 - t0, perf() - t1
-
-
-def _attempt_sudoku_rejection(n, source, perf):
-    # Layers are decoded one at a time and tested against the union of
-    # the earlier ones; at the first overlap the later layers' values are
-    # drawn unused, so every attempt consumes the same stream.
-    side = n * n
-    check_time = 0.0
-    acc = 0
-    start = perf()
-    for k in range(side):
-        mask = _phi_mask(gen_pi_direct(n, source), n)
-        t0 = perf()
-        overlap = acc & mask
-        acc |= mask
-        t1 = perf()
-        check_time += t1 - t0
-        if overlap:
-            source.uniform_seq(_pi_draw_bounds(n) * (side - 1 - k))
-            return False, perf() - start - check_time, check_time
-    return True, perf() - start - check_time, check_time
-
-
-_ATTEMPTS = {
-    "perm-rejection": _attempt_perm_rejection,
-    "perm-direct": _attempt_perm_direct,
-    "pi-rejection": _attempt_pi_rejection,
-    "pi-direct": _attempt_pi_direct,
-    "sigma-rejection": _attempt_sigma_rejection,
-    "sudoku-rejection": _attempt_sudoku_rejection,
-}
-
-
-def _check_feasible(generator_id: str, n: int) -> None:
-    # Estimating a vanishing acceptance rate is pointless; refuse the
-    # combinations whose generators themselves refuse, quoting the
-    # expected attempt count.
-    if generator_id == "sigma-rejection" and n >= 3:
-        expected = ratio_as_float(2 ** (n**4), math.factorial(n) ** (2 * n))
-        raise InfeasibleError(
-            f"sigma-rejection at order {n} accepts about once per "
-            f"{expected:.3g} attempts",
-            expected_iterations=expected,
-        )
-    if generator_id == "sudoku-rejection" and n >= 3:
-        from .sudoku import _sudoku_rejection_feasibility
-
-        _sudoku_rejection_feasibility(n)
-
-
 def estimate_p(
     generator_id: str,
     n: int,
@@ -207,34 +314,37 @@ def estimate_p(
 ) -> EvalReport:
     """Estimate a generator's single-attempt acceptance probability.
 
-    Runs the attempt body ``samples`` times and reports the acceptance
-    fraction as an exact rational next to the closed form, with the
-    binomial standard error sqrt(p(1-p)/samples) and mean per-phase wall
-    times (the check phase alone is the classic theta term).  A
-    ``sudoku-rejection`` attempt stops decoding layers at the first one
-    that overlaps the earlier ones but still draws the values of the
-    rest, so each attempt consumes the same stream; its check time is
-    the time spent in the overlap tests.
+    Runs the generator's attempt ``samples`` times and reports the
+    acceptance fraction as an exact rational next to the closed form,
+    with the binomial standard error sqrt(p(1-p)/samples) and mean wall
+    times of one attempt and of its check half (the classic theta
+    term).  Requests the generator itself refuses are refused with its
+    InfeasibleError.  A ``sudoku-rejection`` attempt's overlap tests
+    belong to its draw half, which stops decoding layers at the first
+    one that overlaps the earlier ones (but still draws the values of
+    the rest, so each attempt consumes the same stream); its check time
+    is only the test that every layer was decoded.
     """
     if generator_id not in GENERATOR_IDS:
         raise ValueError(f"unknown generator id {generator_id!r}")
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
     if samples < 100:
         raise ValueError(f"samples must be >= 100, got {samples}")
-    _check_feasible(generator_id, n)
+    _refuse(generator_id, n)
     theoretical = closed_form_p(generator_id, n)
-    attempt = _ATTEMPTS[generator_id]
+    draw, check = _HALVES[generator_id]
     perf = time.perf_counter
     successes = 0
-    gen_time = 0.0
+    draw_time = 0.0
     check_time = 0.0
     for _ in range(samples):
-        ok, gen_dt, check_dt = attempt(n, source, perf)
-        if ok:
+        t0 = perf()
+        candidate = draw(n, source)
+        t1 = perf()
+        if check(candidate, n):
             successes += 1
-        gen_time += gen_dt
-        check_time += check_dt
+        t2 = perf()
+        draw_time += t1 - t0
+        check_time += t2 - t1
     p_hat = successes / samples
     return EvalReport(
         generator_id=generator_id,
@@ -244,7 +354,7 @@ def estimate_p(
         empirical_p=Fraction(successes, samples),
         theoretical_p=theoretical,
         std_error=math.sqrt(p_hat * (1.0 - p_hat) / samples),
-        mean_iteration_time_s=(gen_time + check_time) / samples,
+        mean_iteration_time_s=(draw_time + check_time) / samples,
         mean_check_time_s=check_time / samples,
         seed=source.seed,
     )
@@ -293,10 +403,9 @@ class BenchReport:
 
 
 def _bench_body(generator_id: str, n: int, source: RandomSource):
-    perf = time.perf_counter
-    if generator_id in _ATTEMPTS:
-        attempt = _ATTEMPTS[generator_id]
-        return lambda: attempt(n, source, perf)
+    if generator_id in _HALVES:
+        draw, check = _HALVES[generator_id]
+        return lambda: check(draw(n, source), n)
     if generator_id == "perm-check":
         cand = gen_perm_direct(n, source)
         return lambda: is_permutation(cand)
@@ -313,11 +422,13 @@ def bench_tau(
     source: RandomSource | None = None,
     warmup: int = 2,
 ) -> BenchReport:
-    """Time one attempt body per size: median, MAD, and log-log slope.
+    """Time one attempt per size: median, MAD, and log-log slope.
 
-    Each size gets ``warmup`` discarded runs followed by ``repetitions``
-    timed runs on the monotonic clock; the table reports the median and
-    the median absolute deviation.  With at least two distinct sizes a
+    An attempt is the generator's check half applied to its draw half,
+    the body of the loop the generator runs.  Each size gets ``warmup``
+    discarded runs followed by ``repetitions`` timed runs on the
+    monotonic clock; the table reports the median and the median
+    absolute deviation.  With at least two distinct sizes a
     least-squares line through (log2 n, log2 median) gives the scaling
     exponent; its standard error needs at least three sizes.
     """

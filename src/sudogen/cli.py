@@ -25,7 +25,16 @@ from concurrent.futures import ProcessPoolExecutor
 
 import click
 
-from .analysis import BENCH_IDS, GENERATOR_IDS, bench_tau, estimate_p
+from .analysis import (
+    BENCH_IDS,
+    GENERATOR_IDS,
+    bench_tau,
+    estimate_p,
+    gen_perm_rejection,
+    gen_pi_rejection,
+    gen_sigma_rejection,
+    gen_sudoku_rejection,
+)
 from .errors import (
     BudgetExhaustedError,
     CompositionError,
@@ -49,17 +58,16 @@ from .formats import (
     sigma_json,
     sudoku_json,
 )
-from .perm import gen_perm_direct, gen_perm_rejection, is_permutation
-from .pi import gen_pi_direct, gen_pi_rejection, is_pi
+from .perm import gen_perm_direct, is_permutation
+from .pi import gen_pi_direct, is_pi
 from .rng import RandomSource, derive_seed, entropy_seed
-from .sigma import SigmaMatrix, is_sigma, phi, phi_inverse, gen_sigma_rejection
+from .sigma import SigmaMatrix, is_sigma, phi, phi_inverse
 from .sudoku import (
     RestartPolicy,
     compose as compose_layers,
     decompose as decompose_cells,
     enumerate_sudoku,
     gen_sudoku,
-    gen_sudoku_rejection,
     is_sudoku,
     iter_sudoku,
 )
@@ -85,13 +93,32 @@ def _guarded(fn):
     return wrapper
 
 
-def _emit(text_payload: str, json_payload: dict | None, fmt: str, seed: int | None):
+def _emit(
+    text_payload: str,
+    json_payload: dict,
+    fmt: str,
+    seed: int,
+    iterations: int | None = None,
+):
+    # A rejection generator's attempt count goes into the JSON payload, or
+    # on stderr ahead of the seed in text mode.
+    if iterations is not None:
+        json_payload["iterations"] = iterations
     if fmt == "json":
         click.echo(json.dumps(json_payload, indent=2))
     else:
+        if iterations is not None:
+            click.echo(f"iterations: {iterations}", err=True)
         click.echo(text_payload)
-        if seed is not None:
-            click.echo(f"seed: {seed}", err=True)
+        click.echo(f"seed: {seed}", err=True)
+
+
+def _echo_csv(header: list[str], rows: list[list]) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    click.echo(buf.getvalue(), nl=False)
 
 
 def _read_stdin() -> str:
@@ -128,17 +155,11 @@ def main():
 def gen_perm_cmd(n, seed, algorithm, variant, max_iterations, fmt):
     """Generate one random permutation of 1..n."""
     source = RandomSource(seed)
-    iterations = None
     if algorithm == "direct":
-        values = gen_perm_direct(n, source, variant=variant)
+        values, iterations = gen_perm_direct(n, source, variant=variant), None
     else:
         values, iterations = gen_perm_rejection(n, source, max_iterations)
-    payload = perm_json(values, source.seed)
-    if iterations is not None:
-        payload["iterations"] = iterations
-        if fmt == "text":
-            click.echo(f"iterations: {iterations}", err=True)
-    _emit(format_perm(values), payload, fmt, source.seed)
+    _emit(format_perm(values), perm_json(values, source.seed), fmt, source.seed, iterations)
 
 
 @main.command("gen-pi")
@@ -158,17 +179,11 @@ def gen_perm_cmd(n, seed, algorithm, variant, max_iterations, fmt):
 def gen_pi_cmd(n, seed, algorithm, max_iterations, fmt):
     """Generate a random 2n x n matrix whose rows are all permutations."""
     source = RandomSource(seed)
-    iterations = None
     if algorithm == "direct":
-        rows = gen_pi_direct(n, source)
+        rows, iterations = gen_pi_direct(n, source), None
     else:
         rows, iterations = gen_pi_rejection(n, source, max_iterations)
-    payload = pi_json(rows, source.seed)
-    if iterations is not None:
-        payload["iterations"] = iterations
-        if fmt == "text":
-            click.echo(f"iterations: {iterations}", err=True)
-    _emit(format_pi(rows), payload, fmt, source.seed)
+    _emit(format_pi(rows), pi_json(rows, source.seed), fmt, source.seed, iterations)
 
 
 @main.command("gen-sigma")
@@ -190,17 +205,11 @@ def gen_pi_cmd(n, seed, algorithm, max_iterations, fmt):
 def gen_sigma_cmd(n, seed, algorithm, max_iterations, fmt):
     """Generate a random block permutation matrix of side n^2."""
     source = RandomSource(seed)
-    iterations = None
     if algorithm == "direct":
-        matrix = phi(gen_pi_direct(n, source))
+        matrix, iterations = phi(gen_pi_direct(n, source)), None
     else:
         matrix, iterations = gen_sigma_rejection(n, source, max_iterations)
-    payload = sigma_json(matrix, source.seed)
-    if iterations is not None:
-        payload["iterations"] = iterations
-        if fmt == "text":
-            click.echo(f"iterations: {iterations}", err=True)
-    _emit(format_sigma(matrix), payload, fmt, source.seed)
+    _emit(format_sigma(matrix), sigma_json(matrix, source.seed), fmt, source.seed, iterations)
 
 
 def _parallel_attempt(args):
@@ -443,9 +452,7 @@ def estimate_cmd(generator_id, n, samples, seed, fmt):
         click.echo(json.dumps(data, indent=2))
         return
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
+        _echo_csv(
             [
                 "generator_id",
                 "n",
@@ -457,23 +464,22 @@ def estimate_cmd(generator_id, n, samples, seed, fmt):
                 "mean_iteration_time_s",
                 "mean_check_time_s",
                 "seed",
-            ]
-        )
-        writer.writerow(
+            ],
             [
-                data["generator_id"],
-                data["n"],
-                data["samples"],
-                data["successes"],
-                data["empirical_acceptance"]["float"],
-                data["theoretical_acceptance"]["float"],
-                data["std_error"],
-                data["mean_iteration_time_s"],
-                data["mean_check_time_s"],
-                data["seed"],
-            ]
+                [
+                    data["generator_id"],
+                    data["n"],
+                    data["samples"],
+                    data["successes"],
+                    data["empirical_acceptance"]["float"],
+                    data["theoretical_acceptance"]["float"],
+                    data["std_error"],
+                    data["mean_iteration_time_s"],
+                    data["mean_check_time_s"],
+                    data["seed"],
+                ]
+            ],
         )
-        click.echo(buf.getvalue(), nl=False)
         return
     rows = [
         ("generator", data["generator_id"]),
@@ -532,9 +538,7 @@ def bench_cmd(generator_id, sizes, repetitions, seed, fmt):
         click.echo(json.dumps(data, indent=2))
         return
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
+        _echo_csv(
             [
                 "generator_id",
                 "n",
@@ -544,10 +548,8 @@ def bench_cmd(generator_id, sizes, repetitions, seed, fmt):
                 "slope",
                 "slope_stderr",
                 "seed",
-            ]
-        )
-        for point in data["points"]:
-            writer.writerow(
+            ],
+            [
                 [
                     data["generator_id"],
                     point["n"],
@@ -558,8 +560,9 @@ def bench_cmd(generator_id, sizes, repetitions, seed, fmt):
                     data["slope_stderr"],
                     data["seed"],
                 ]
-            )
-        click.echo(buf.getvalue(), nl=False)
+                for point in data["points"]
+            ],
+        )
         return
     click.echo(
         f"generator: {data['generator_id']}   repetitions: "

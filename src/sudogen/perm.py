@@ -1,14 +1,14 @@
-"""Permutations of {1..n}: membership check and two random generators.
+"""Permutations of {1..n}: membership checks and the direct generator.
 
 A permutation is represented as a plain list of 1-based values.  The
-rejection generator draws n values blindly and retries until they form
-a permutation (success probability n!/n^n per attempt); the direct
-generator consumes exactly n draws and never rejects.
+direct generator consumes exactly n draws and never rejects.  The
+rejection generator, which draws n values blindly and retries until they
+form a permutation (success probability n!/n^n per attempt), is
+``gen_perm_rejection`` in :mod:`sudogen.analysis`.
 """
 
 from __future__ import annotations
 
-from .errors import BudgetExhaustedError
 from .rng import RandomSource
 
 
@@ -43,32 +43,6 @@ def _is_perm_trusted(values: list[int], n: int) -> bool:
             return False
         seen[a] = True
     return True
-
-
-def gen_perm_rejection(
-    n: int,
-    source: RandomSource,
-    max_iterations: int | None = None,
-) -> tuple[list[int], int]:
-    """Draw n uniform values until they happen to form a permutation.
-
-    Returns (permutation, number of attempts).  Las Vegas: terminates
-    with probability 1; ``max_iterations`` optionally bounds the attempt
-    count and raises BudgetExhaustedError when exceeded.
-    """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    ks = [n] * n
-    iterations = 0
-    while True:
-        iterations += 1
-        candidate = source.uniform_seq(ks)
-        if _is_perm_trusted(candidate, n):
-            return candidate, iterations
-        if max_iterations is not None and iterations >= max_iterations:
-            raise BudgetExhaustedError(
-                f"no permutation of order {n} found in {iterations} attempts"
-            )
 
 
 def gen_perm_direct(n: int, source: RandomSource, variant: str = "shift") -> list[int]:

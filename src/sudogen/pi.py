@@ -5,7 +5,8 @@ There are (n!)^(2n) such matrices of order n.  The first n rows act as
 in-block row selectors and the last n rows as in-block column selectors
 when a pi matrix is mapped to a block permutation matrix (see
 :mod:`sudogen.sigma`); the disjointness predicate below is phrased in
-those terms.
+those terms.  The blind generator ``gen_pi_rejection`` is in
+:mod:`sudogen.analysis`, with the package's other rejection loops.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import functools
 from itertools import permutations, product
 from typing import Iterator
 
-from .errors import BudgetExhaustedError
-from .perm import _decode_perms, _is_perm_trusted, is_permutation
+from .perm import _decode_perms, is_permutation
 from .rng import RandomSource
 
 
@@ -46,32 +46,6 @@ def is_pi(rows: list[list[int]]) -> bool:
     except ValueError:
         return False
     return True
-
-
-def gen_pi_rejection(
-    n: int,
-    source: RandomSource,
-    max_iterations: int | None = None,
-) -> tuple[list[list[int]], int]:
-    """Fill all 2n^2 cells blindly, accept iff every row is a permutation.
-
-    Returns (matrix, attempts); attempts is geometric with success
-    probability (n!)^(2n) / n^(2n^2).
-    """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    ks = [n] * (2 * n * n)
-    iterations = 0
-    while True:
-        iterations += 1
-        flat = source.uniform_seq(ks)
-        rows = [flat[i : i + n] for i in range(0, 2 * n * n, n)]
-        if all(_is_perm_trusted(row, n) for row in rows):
-            return rows, iterations
-        if max_iterations is not None and iterations >= max_iterations:
-            raise BudgetExhaustedError(
-                f"no pi matrix of order {n} found in {iterations} attempts"
-            )
 
 
 def gen_pi_direct(n: int, source: RandomSource, variant: str = "shift") -> list[list[int]]:

@@ -8,7 +8,8 @@ by a constructive bijection: block (s, t) gets its 1 at in-block row
 
 Storage is a packed bitset (one Python int, bit (i-1)*n^2 + (j-1) for
 global 1-based position (i, j)), so disjointness of two matrices is a
-single integer AND.
+single integer AND.  Blind bit-sampling, ``gen_sigma_rejection``, is in
+:mod:`sudogen.analysis`, with the package's other rejection loops.
 """
 
 from __future__ import annotations
@@ -18,18 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import InfeasibleError, BudgetExhaustedError
 from .perm import _is_perm_trusted
 from .pi import check_pi, enumerate_pi
-from .rng import RandomSource
-
-
-def ratio_as_float(num: int, den: int) -> float:
-    """num/den as a float; infinities instead of OverflowError."""
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf if num > den else 0.0
 
 
 @dataclass(frozen=True)
@@ -230,51 +221,6 @@ def sigma_disjoint(a: SigmaMatrix, b: SigmaMatrix) -> bool:
     if a.n != b.n:
         raise ValueError(f"order mismatch: {a.n} vs {b.n}")
     return (a.mask & b.mask) == 0
-
-
-def gen_sigma_rejection(
-    n: int,
-    source: RandomSource,
-    max_iterations: int | None = None,
-) -> tuple[SigmaMatrix, int]:
-    """Draw n^4 random bits, accept iff they form a block permutation matrix.
-
-    Success probability per attempt is (n!)^(2n) / 2^(n^4): one half at
-    n = 1, 16/65536 at n = 2, and hopeless beyond, so n >= 3 is refused
-    outright with the expected iteration count.
-    """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if n >= 3:
-        expected = _sigma_rejection_expected_iterations(n)
-        raise InfeasibleError(
-            f"blind bit-sampling at order {n} accepts with probability "
-            f"about 1/{expected:.3g}; expected {expected:.3g} iterations. "
-            f"Use the pi-matrix mapping instead.",
-            expected_iterations=expected,
-        )
-    side = n * n
-    ks = [2] * (side * side)
-    iterations = 0
-    while True:
-        iterations += 1
-        rows = _bit_rows(source.uniform_seq(ks), side)
-        if is_sigma(rows):
-            return SigmaMatrix.from_rows(rows), iterations
-        if max_iterations is not None and iterations >= max_iterations:
-            raise BudgetExhaustedError(
-                f"no block permutation matrix of order {n} found in {iterations} attempts"
-            )
-
-
-def _bit_rows(draws: list[int], side: int) -> list[list[int]]:
-    # Draws from {1, 2}, row-major, as the rows of a side x side 0/1 matrix.
-    bits = [x - 1 for x in draws]
-    return [bits[i : i + side] for i in range(0, side * side, side)]
-
-
-def _sigma_rejection_expected_iterations(n: int) -> float:
-    return ratio_as_float(2 ** (n**4), math.factorial(n) ** (2 * n))
 
 
 def enumerate_sigma(n: int) -> Iterator[SigmaMatrix]:

@@ -8,8 +8,9 @@ picks a deep layer uniformly from the enumerated layers that fit, draws a
 shallow one from random pi matrices until it fits, and restarts the whole
 stack at a dead end or when a layer budget runs out; the last layer is
 forced, since the cells left uncovered by n^2 - 1 disjoint layers always
-form one.  The blind-rejection variant draws a complete layer tuple per
-attempt and keeps it only if already disjoint.
+form one.  The blind-rejection variant, which draws a complete layer
+tuple per attempt and keeps it only if already disjoint, is
+``gen_sudoku_rejection`` in :mod:`sudogen.analysis`.
 
 Exact counts by order: 1 matrix at n = 1, 288 at n = 2, and
 6 670 903 752 021 072 936 960 at n = 3 (embedded constant, far beyond
@@ -26,11 +27,11 @@ from typing import Iterator
 
 from .errors import BudgetExhaustedError, CompositionError, InfeasibleError
 from .perm import _is_perm_trusted
-from .pi import _pi_draw_bounds, gen_pi_direct
+from .pi import gen_pi_direct
 from .rng import RandomSource
 # is_sigma is unused here but stays importable as ``sudoku.is_sigma``,
 # which the cli-pipeline benchmark's traced replay hooks by name.
-from .sigma import SigmaMatrix, _phi_mask, is_sigma, ratio_as_float  # noqa: F401
+from .sigma import SigmaMatrix, _phi_mask, is_sigma  # noqa: F401
 from .sigma import block_order as sudoku_order
 
 STATS_SCHEMA_VERSION = 2
@@ -411,67 +412,6 @@ def gen_sudoku(
                 )
     cells = compose(stack.layers)
     return cells, make_stats()
-
-
-def _sudoku_rejection_feasibility(n: int) -> None:
-    layer_space = (math.factorial(n) ** (2 * n)) ** (n * n)
-    if n in SIGMA_COUNTS:
-        expected = ratio_as_float(layer_space, SIGMA_COUNTS[n])
-        raise InfeasibleError(
-            f"blind layer-tuple sampling at order {n} accepts with probability "
-            f"about 1/{expected:.3g}; expected {expected:.3g} iterations",
-            expected_iterations=expected,
-        )
-    raise InfeasibleError(
-        f"the Sudoku-matrix count is unknown for order {n}; the layer-tuple "
-        f"sample space alone has {len(str(layer_space))} decimal digits",
-    )
-
-
-def gen_sudoku_rejection(
-    n: int,
-    source: RandomSource,
-    max_iterations: int | None = None,
-) -> tuple[list[list[int]], int]:
-    """One-shot rejection sampling over complete layer tuples.
-
-    Each attempt draws n^2 independent uniform block permutation
-    matrices (via the pi bijection) and accepts iff they are pairwise
-    disjoint, in which case their composition is a Sudoku matrix.
-    Ordered disjoint tuples correspond one-to-one to Sudoku matrices, so
-    each attempt succeeds with probability sigma_n / ((n!)^(2n))^(n^2):
-    1 at n = 1, 288/65536 at n = 2, and about 6.6e-21 at n = 3, so
-    n >= 3 is refused with the expected iteration count.  An attempt
-    decodes its layers only up to the first that overlaps an earlier
-    one, but draws the values of all n^2 layers.
-    """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if n >= 3:
-        _sudoku_rejection_feasibility(n)
-    side = n * n
-    iterations = 0
-    while True:
-        iterations += 1
-        acc = 0
-        masks = []
-        for k in range(side):
-            mask = _phi_mask(gen_pi_direct(n, source), n)
-            if acc & mask:
-                # the later layers' values are drawn unused, so every
-                # attempt consumes the same stream
-                source.uniform_seq(_pi_draw_bounds(n) * (side - 1 - k))
-                break
-            acc |= mask
-            masks.append(mask)
-        else:
-            cells = compose([SigmaMatrix(n, mask) for mask in masks])
-            assert is_sudoku(cells)
-            return cells, iterations
-        if max_iterations is not None and iterations >= max_iterations:
-            raise BudgetExhaustedError(
-                f"no Sudoku matrix of order {n} found in {iterations} attempts"
-            )
 
 
 def _backtrack_grids(n: int) -> Iterator[list[list[int]]]:

@@ -16,7 +16,9 @@ from sudogen import (
     bench_tau,
     closed_form_p,
     estimate_p,
+    gen_perm_rejection,
     gen_pi_direct,
+    gen_pi_rejection,
     gen_sigma_rejection,
     gen_sudoku_rejection,
 )
@@ -111,6 +113,22 @@ class TestEstimate:
         with pytest.raises(InfeasibleError):
             estimate_p("sudoku-rejection", 3, 1000, RandomSource(0))
 
+    @pytest.mark.parametrize(
+        "generator_id,n,generate",
+        [
+            ("sigma-rejection", 3, gen_sigma_rejection),
+            ("sudoku-rejection", 3, gen_sudoku_rejection),
+            ("sudoku-rejection", 4, gen_sudoku_rejection),
+        ],
+    )
+    def test_refuses_like_the_generator(self, generator_id, n, generate):
+        with pytest.raises(InfeasibleError) as estimated:
+            estimate_p(generator_id, n, 1000, RandomSource(0))
+        with pytest.raises(InfeasibleError) as generated:
+            generate(n, RandomSource(0))
+        assert str(estimated.value) == str(generated.value)
+        assert estimated.value.expected_iterations == generated.value.expected_iterations
+
     def test_scripted_all_failures(self):
         # 100 attempts of (1, 1, 1), never a permutation of order 3
         src = ScriptedSource([1, 1, 1] * 100)
@@ -196,6 +214,18 @@ class TestSeededStream:
         assert report.successes == successes
         assert src.draws == draws
         assert src.uniform_int(2**30) == next_draw
+
+    def test_perm_rejection_generator(self):
+        src = RandomSource(5)
+        perm, iterations = gen_perm_rejection(3, src)
+        assert (perm, iterations, src.draws) == ([2, 1, 3], 4, 12)
+        assert src.uniform_int(2**30) == 55_677_007
+
+    def test_pi_rejection_generator(self):
+        src = RandomSource(5)
+        rows, iterations = gen_pi_rejection(2, src)
+        assert (rows, iterations, src.draws) == ([[2, 1], [1, 2], [2, 1], [1, 2]], 6, 48)
+        assert src.uniform_int(2**30) == 662_984_595
 
     def test_sudoku_rejection_generator(self):
         src = RandomSource(5)

@@ -16,6 +16,7 @@ GOLDEN = ROOT / "scripts" / "cli_golden.json"
 # fast examples, replayed against the golden file on every test run
 CHEAP = [
     "sudogen gen-perm --n 8 --seed 42",
+    "sudogen gen-sigma --n 3 --algorithm rejection",
     "sudogen gen-sudoku --n 3 --seed 7 --pretty --stats",
     "sudogen gen-pi --n 2 --seed 1 | sudogen map --phi | sudogen check --kind sigma",
     "sudogen gen-sudoku --n 2 --seed 5 | sudogen decompose | sudogen compose",

@@ -1,5 +1,6 @@
 """Sudoku matrices: validity, layer calculus, generators, enumeration."""
 
+import math
 import time
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-import sudogen.sudoku as sudoku_mod
 from conftest import ScriptedSource, as_key
 from sudogen import (
     BudgetExhaustedError,
@@ -500,7 +500,7 @@ class TestRejectionGenerator:
             decoded.append(n)
             return gen_pi_direct(n, source)
 
-        monkeypatch.setattr(sudoku_mod, "gen_pi_direct", counting_gen_pi_direct)
+        monkeypatch.setattr("sudogen.analysis.gen_pi_direct", counting_gen_pi_direct)
         src = ScriptedSource(DRAWS_L1 * 4 * 2)
         with pytest.raises(BudgetExhaustedError):
             gen_sudoku_rejection(2, src, max_iterations=2)
@@ -527,6 +527,16 @@ class TestRejectionGenerator:
     def test_order_four_refused_without_known_count(self):
         with pytest.raises(InfeasibleError):
             gen_sudoku_rejection(4, RandomSource(0))
+
+    @pytest.mark.parametrize("n,digits", [(4, 177), (8, 4717)])
+    def test_unknown_count_refusal_counts_digits(self, n, digits):
+        # from order 8 the sample space has more digits than int -> str
+        # converts by default, so the count must not come from str()
+        space = (math.factorial(n) ** (2 * n)) ** (n * n)
+        assert 10 ** (digits - 1) <= space < 10**digits
+        with pytest.raises(InfeasibleError, match=f"has {digits} decimal digits$") as exc_info:
+            gen_sudoku_rejection(n, RandomSource(0))
+        assert exc_info.value.expected_iterations is None
 
 
 class TestEnumeration:
