@@ -22,25 +22,18 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BudgetExhaustedError, InfeasibleError, UnknownSigmaError
+from .errors import (
+    BENCH_IDS,
+    GENERATOR_IDS,
+    BudgetExhaustedError,
+    InfeasibleError,
+    UnknownSigmaError,
+)
 from .perm import _is_perm_trusted, gen_perm_direct, is_permutation
 from .pi import _pi_draw_bounds, gen_pi_direct, is_pi
 from .rng import RandomSource
 from .sigma import SigmaMatrix, _phi_mask, is_sigma
 from .sudoku import SIGMA_COUNTS, compose, is_sudoku
-
-GENERATOR_IDS = (
-    "perm-rejection",
-    "perm-direct",
-    "pi-rejection",
-    "pi-direct",
-    "sigma-rejection",
-    "sudoku-rejection",
-)
-
-# Additional benchmark targets: the bare membership checks, so the check
-# phase can be timed in isolation.
-BENCH_IDS = GENERATOR_IDS + ("perm-check", "sigma-check")
 
 
 def ratio_as_float(num: int, den: int) -> float:

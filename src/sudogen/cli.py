@@ -16,26 +16,18 @@ drawn from entropy and reported.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import click
 
-from .analysis import (
+# Each child process pays for what it imports, so sudogen.analysis, the
+# process pool and csv are imported inside the commands that use them.
+from .errors import (
     BENCH_IDS,
     GENERATOR_IDS,
-    bench_tau,
-    estimate_p,
-    gen_perm_rejection,
-    gen_pi_rejection,
-    gen_sigma_rejection,
-    gen_sudoku_rejection,
-)
-from .errors import (
     BudgetExhaustedError,
     CompositionError,
     InfeasibleError,
@@ -114,6 +106,8 @@ def _emit(
 
 
 def _echo_csv(header: list[str], rows: list[list]) -> None:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -158,6 +152,8 @@ def gen_perm_cmd(n, seed, algorithm, variant, max_iterations, fmt):
     if algorithm == "direct":
         values, iterations = gen_perm_direct(n, source, variant=variant), None
     else:
+        from .analysis import gen_perm_rejection
+
         values, iterations = gen_perm_rejection(n, source, max_iterations)
     _emit(format_perm(values), perm_json(values, source.seed), fmt, source.seed, iterations)
 
@@ -182,6 +178,8 @@ def gen_pi_cmd(n, seed, algorithm, max_iterations, fmt):
     if algorithm == "direct":
         rows, iterations = gen_pi_direct(n, source), None
     else:
+        from .analysis import gen_pi_rejection
+
         rows, iterations = gen_pi_rejection(n, source, max_iterations)
     _emit(format_pi(rows), pi_json(rows, source.seed), fmt, source.seed, iterations)
 
@@ -208,6 +206,8 @@ def gen_sigma_cmd(n, seed, algorithm, max_iterations, fmt):
     if algorithm == "direct":
         matrix, iterations = phi(gen_pi_direct(n, source)), None
     else:
+        from .analysis import gen_sigma_rejection
+
         matrix, iterations = gen_sigma_rejection(n, source, max_iterations)
     _emit(format_sigma(matrix), sigma_json(matrix, source.seed), fmt, source.seed, iterations)
 
@@ -284,6 +284,8 @@ def gen_sudoku_cmd(
     """Generate one random n^2 x n^2 Sudoku matrix."""
     stats_dict = None
     if algorithm == "rejection":
+        from .analysis import gen_sudoku_rejection
+
         source = RandomSource(seed)
         cells, iterations = gen_sudoku_rejection(n, source, max_iterations)
         root_seed = source.seed
@@ -299,6 +301,8 @@ def gen_sudoku_cmd(
         root_seed = source.seed
         stats_dict = stats.to_dict()
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         root_seed = seed if seed is not None else entropy_seed()
         jobs = [
             (n, derive_seed(root_seed, i), restart_budget, policy_mode, max_restarts)
@@ -445,6 +449,8 @@ def _fraction_text(d: dict) -> str:
 @_guarded
 def estimate_cmd(generator_id, n, samples, seed, fmt):
     """Monte Carlo estimate of a generator's acceptance probability."""
+    from .analysis import estimate_p
+
     source = RandomSource(seed)
     report = estimate_p(generator_id, n, samples, source)
     data = report.to_dict()
@@ -531,6 +537,8 @@ def _parse_sizes(_ctx, _param, value: str) -> list[int]:
 @_guarded
 def bench_cmd(generator_id, sizes, repetitions, seed, fmt):
     """Time one attempt per size; report medians and the log-log slope."""
+    from .analysis import bench_tau
+
     source = RandomSource(seed)
     report = bench_tau(generator_id, sizes, repetitions, source)
     data = report.to_dict()

@@ -1,11 +1,27 @@
-"""Exception types shared across the package.
+"""Exception types and generator ids shared across the package.
 
 Plain invalid arguments (wrong order, out-of-range entries, shape
 mismatches) raise ValueError; the classes below cover the structured
 failure modes that callers may want to handle individually.
+
+This module imports nothing, so the CLI can build its option choices
+from the generator ids without loading :mod:`sudogen.analysis`.
 """
 
 from __future__ import annotations
+
+# Generator ids accepted by estimate_p, and the benchmark targets of
+# bench_tau: every generator plus the bare membership checks, so the
+# check phase can be timed in isolation.
+GENERATOR_IDS = (
+    "perm-rejection",
+    "perm-direct",
+    "pi-rejection",
+    "pi-direct",
+    "sigma-rejection",
+    "sudoku-rejection",
+)
+BENCH_IDS = GENERATOR_IDS + ("perm-check", "sigma-check")
 
 
 class SudogenError(Exception):

@@ -55,6 +55,27 @@ def _parse_space_line(line: str, line_no: int) -> list[int]:
     ]
 
 
+_BITS = {"0": 0, "1": 1}
+
+
+def _parse_bit_line(line: str, line_no: int) -> list[int]:
+    """One row of space-separated 0/1 entries."""
+    try:
+        # the common case: every token is exactly "0" or "1"
+        return list(map(_BITS.__getitem__, line.split()))
+    except KeyError:
+        pass
+    # anything else ("+1", "01", "2", "x") is read as an integer, and
+    # errors name the first bad token as for any other matrix
+    row = _parse_space_line(line, line_no)
+    for token_no, v in enumerate(row, start=1):
+        if v not in (0, 1):
+            raise MatrixParseError(
+                f"expected 0 or 1, got {v}", line=line_no, token=token_no
+            )
+    return row
+
+
 def format_perm(values: list[int]) -> str:
     return ",".join(str(v) for v in values)
 
@@ -82,7 +103,13 @@ def parse_pi(text: str) -> list[list[int]]:
 
 
 def format_sigma(matrix: SigmaMatrix) -> str:
-    return "\n".join(" ".join(str(v) for v in row) for row in matrix.to_rows())
+    side = matrix.side
+    # bit i * side + j is entry (i, j), so the reversed binary string
+    # reads the matrix row by row
+    bits = format(matrix.mask, f"0{side * side}b")[::-1]
+    return "\n".join(
+        " ".join(bits[i : i + side]) for i in range(0, side * side, side)
+    )
 
 
 def parse_binary_matrix(text: str) -> list[list[int]]:
@@ -90,16 +117,7 @@ def parse_binary_matrix(text: str) -> list[list[int]]:
     lines = _split_lines(text)
     if not lines:
         raise MatrixParseError("empty input")
-    rows = []
-    for no, line in lines:
-        row = _parse_space_line(line, no)
-        for token_no, v in enumerate(row, start=1):
-            if v not in (0, 1):
-                raise MatrixParseError(
-                    f"expected 0 or 1, got {v}", line=no, token=token_no
-                )
-        rows.append(row)
-    return rows
+    return [_parse_bit_line(line, no) for no, line in lines]
 
 
 def format_sudoku(cells: list[list[int]], pretty: bool = False) -> str:
@@ -141,12 +159,7 @@ def parse_layers(text: str) -> list[list[list[int]]]:
                 blocks.append(current)
                 current = []
             continue
-        row = _parse_space_line(raw, no)
-        for token_no, v in enumerate(row, start=1):
-            if v not in (0, 1):
-                raise MatrixParseError(
-                    f"expected 0 or 1, got {v}", line=no, token=token_no
-                )
+        row = _parse_bit_line(raw, no)
         if expected is None:
             expected = len(row)
         current.append(row)

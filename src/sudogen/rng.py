@@ -17,7 +17,6 @@ mix of the root and the worker index).
 from __future__ import annotations
 
 import random
-import secrets
 
 _MASK64 = (1 << 64) - 1
 
@@ -39,6 +38,8 @@ def derive_seed(root_seed: int, index: int) -> int:
 
 def entropy_seed() -> int:
     """Fresh 64-bit seed from system entropy."""
+    import secrets  # loads hmac and hashlib, which only unseeded runs need
+
     return secrets.randbits(64)
 
 

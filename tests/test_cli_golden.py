@@ -19,6 +19,7 @@ CHEAP = [
     "sudogen gen-sigma --n 3 --algorithm rejection",
     "sudogen gen-sudoku --n 3 --seed 7 --pretty --stats",
     "sudogen gen-pi --n 2 --seed 1 | sudogen map --phi | sudogen check --kind sigma",
+    "sudogen gen-pi --n 8 --seed 3 | sudogen map --phi | sudogen map --phi-inverse",
     "sudogen gen-sudoku --n 2 --seed 5 | sudogen decompose | sudogen compose",
     "sudogen estimate --generator sudoku-rejection --n 2 --samples 200000 --seed 1",
 ]

@@ -1,5 +1,7 @@
 """Text/JSON serialization round-trips and parse diagnostics."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -238,3 +240,94 @@ def test_perm_text_round_trip_generated(n, seed):
 def test_sigma_text_round_trip_generated(n, seed):
     m = phi(gen_pi_direct(n, RandomSource(seed)))
     assert SigmaMatrix.from_rows(parse_binary_matrix(format_sigma(m))).mask == m.mask
+
+
+def reference_format_sigma(matrix):
+    # one str() per entry of the dense rows: what format_sigma must print
+    return "\n".join(" ".join(str(v) for v in row) for row in matrix.to_rows())
+
+
+def reference_bit_rows(text):
+    """Token-by-token reading of 0/1 rows: each token must be an integer,
+    then each value 0 or 1; errors give 1-based line and token."""
+    rows = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        row = []
+        for token_no, token in enumerate(line.split(), start=1):
+            if not re.fullmatch(r"[+-]?\d+", token):
+                raise MatrixParseError(f"invalid integer {token!r}", line=line_no, token=token_no)
+            row.append(int(token))
+        for token_no, v in enumerate(row, start=1):
+            if v not in (0, 1):
+                raise MatrixParseError(f"expected 0 or 1, got {v}", line=line_no, token=token_no)
+        rows.append(row)
+    return rows
+
+
+def canonical_grid(n):
+    side = n * n
+    return [[(n * (r % n) + r // n + c) % side + 1 for c in range(side)] for r in range(side)]
+
+
+class TestSigmaTextMatchesReference:
+    def test_every_order_two_matrix(self, sigma16):
+        for m in sigma16:
+            assert format_sigma(m) == reference_format_sigma(m)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_seeded_orders(self, n):
+        # order 9 is past the _phi_bits table, so its masks are computed
+        for seed in range(3):
+            m = phi(gen_pi_direct(n, RandomSource(seed)))
+            assert format_sigma(m) == reference_format_sigma(m)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_decompose_layers(self, n):
+        cells = gen_sudoku(n, RandomSource(n))[0] if n <= 3 else canonical_grid(n)
+        layers = decompose(cells)
+        assert format_layers(layers) == "\n\n".join(map(reference_format_sigma, layers))
+
+
+_SEPARATORS = [" ", "  ", "\t", " \t "]
+_CLEAN = ["0", "1"]
+_MIXED = ["0", "1", "+1", "01", "-0", "2", "x", "10", "-1"]
+
+
+@st.composite
+def bit_row_text(draw):
+    """Lines of tokens with mixed whitespace, some clean 0/1, some not,
+    with blank lines in between."""
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        alphabet = draw(st.sampled_from([_CLEAN, _CLEAN, _MIXED]))
+        tokens = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=6))
+        parts = [draw(st.sampled_from(["", *_SEPARATORS]))]
+        for token in tokens:
+            parts += [token, draw(st.sampled_from(_SEPARATORS))]
+        lines.append("".join(parts[:-1]) + draw(st.sampled_from(["", *_SEPARATORS])))
+    return "\n".join(lines)
+
+
+def _outcome(parse, text):
+    try:
+        return "rows", parse(text)
+    except MatrixParseError as exc:
+        return "error", (str(exc), exc.line, exc.token)
+
+
+@given(text=bit_row_text())
+@settings(max_examples=300, deadline=None)
+def test_bit_row_parsers_match_reference(text):
+    expected = _outcome(reference_bit_rows, text)
+    if expected == ("rows", []):
+        expected = ("error", ("empty input", None, None))
+    assert _outcome(parse_binary_matrix, text) == expected
+    layers = _outcome(parse_layers, text)
+    if layers[0] == "rows":
+        layers = ("rows", [row for block in layers[1] for row in block])
+    assert layers == expected

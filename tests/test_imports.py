@@ -1,0 +1,105 @@
+"""Lazy imports: the package and the CLI load only what they use."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sudogen
+import sudogen.analysis
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# What a start-up-bound command such as decompose must not pay for: the
+# analysis module and its statistics, the process pool, entropy seeding
+# and the CSV writer.
+HEAVY = [
+    "sudogen.analysis",
+    "statistics",
+    "fractions",
+    "concurrent.futures",
+    "multiprocessing",
+    "secrets",
+    "csv",
+]
+
+
+# Prepended to each probe: list sys.modules on stderr when the child exits.
+REPORT = (
+    "import atexit, sys; "
+    "atexit.register(lambda: print('loaded:', *sys.modules, file=sys.stderr)); "
+)
+# ``python -m sudogen.cli`` with the probe in front.
+RUN_CLI = "import runpy; runpy.run_module('sudogen.cli', run_name='__main__', alter_sys=True)"
+
+
+def loaded_modules(code: str, *args: str, stdin: str = "") -> set[str]:
+    """``sys.modules`` of a fresh interpreter at exit, after running ``code``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", REPORT + code, *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = proc.stderr.splitlines()[-1].split()
+    assert report[0] == "loaded:"
+    return set(report[1:])
+
+
+class TestImportDiet:
+    def test_decompose_loads_nothing_heavy(self):
+        grid = "1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n"
+        loaded = loaded_modules(RUN_CLI, "decompose", stdin=grid)
+        assert "sudogen.sudoku" in loaded
+        assert sorted(loaded & set(HEAVY)) == []
+
+    def test_importing_the_cli_loads_nothing_heavy(self):
+        loaded = loaded_modules("import sudogen.cli")
+        assert "sudogen.formats" in loaded
+        assert sorted(loaded & set(HEAVY)) == []
+
+    def test_bare_package_import_loads_no_submodule(self):
+        loaded = loaded_modules("import sudogen")
+        assert {m for m in loaded if m.startswith("sudogen")} == {"sudogen"}
+
+    def test_submodules_resolve_after_a_bare_import(self):
+        loaded = loaded_modules("import sudogen; sudogen.sudoku.decompose; sudogen.errors")
+        assert {"sudogen.sudoku", "sudogen.errors"} <= loaded
+
+    def test_analysis_loads_when_a_command_needs_it(self):
+        args = ["gen-perm", "--n", "3", "--seed", "1", "--algorithm", "rejection"]
+        assert "sudogen.analysis" in loaded_modules(RUN_CLI, *args)
+
+
+class TestLazyPackage:
+    def test_every_public_name_resolves(self):
+        assert [name for name in sudogen.__all__ if not hasattr(sudogen, name)] == []
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from sudogen import *", namespace)
+        assert set(sudogen.__all__) <= set(namespace)
+
+    def test_dir_lists_public_names_and_submodules(self):
+        listed = set(dir(sudogen))
+        assert set(sudogen.__all__) <= listed
+        assert {"analysis", "formats", "sudoku"} <= listed
+
+    def test_one_definition_of_the_generator_ids(self):
+        assert sudogen.GENERATOR_IDS is sudogen.analysis.GENERATOR_IDS
+        assert sudogen.BENCH_IDS is sudogen.analysis.BENCH_IDS
+
+    def test_names_are_the_submodules_objects(self):
+        assert sudogen.compose is sudogen.sudoku.compose
+        assert sudogen.sudoku_order is sudogen.sigma.block_order
+        assert sudogen.gen_sudoku_rejection is sudogen.analysis.gen_sudoku_rejection
+
+    def test_unknown_attribute(self):
+        message = r"^module 'sudogen' has no attribute 'no_such_name'$"
+        with pytest.raises(AttributeError, match=message):
+            sudogen.no_such_name
