@@ -213,11 +213,9 @@ def gen_sigma_cmd(n, seed, algorithm, max_iterations, fmt):
 
 
 def _parallel_attempt(args):
-    n, seed, budget, mode, max_restarts = args
+    n, seed, mode, max_restarts = args
     source = RandomSource(seed)
-    policy = RestartPolicy(
-        restart_budget=budget, mode=mode, max_restarts=max_restarts
-    )
+    policy = RestartPolicy(mode=mode, max_restarts=max_restarts)
     try:
         cells, stats = gen_sudoku(n, source, policy)
     except BudgetExhaustedError:
@@ -233,16 +231,8 @@ def _parallel_attempt(args):
     type=click.Choice(["layered", "rejection"]),
     default="layered",
     show_default=True,
-    help="layered = stack disjoint random layers; rejection = draw a "
-    "complete layer tuple per attempt (n <= 2).",
-)
-@click.option(
-    "--restart-budget",
-    type=click.IntRange(min=1),
-    default=None,
-    help="Consecutive blind rejections at one layer before restart/backtrack; "
-    "also caps how many fitting layers are enumerated per stack. The last "
-    "layer is forced and never rejected [default: 10000*n].",
+    help="layered = stack disjoint random layers (n <= 4); rejection = "
+    "draw a complete layer tuple per attempt (n <= 2).",
 )
 @click.option(
     "--policy",
@@ -250,8 +240,15 @@ def _parallel_attempt(args):
     type=click.Choice(["restart", "backtrack"]),
     default="restart",
     show_default=True,
+    help="When no layer fits the stack: discard the whole stack, or drop "
+    "its last layer and never pick that layer there again.",
 )
-@click.option("--max-restarts", type=click.IntRange(min=0), default=None)
+@click.option(
+    "--max-restarts",
+    type=click.IntRange(min=0),
+    default=None,
+    help="Full restarts allowed before giving up with exit 3 [default: no limit].",
+)
 @click.option("--max-iterations", type=click.IntRange(min=1), default=None)
 @click.option(
     "--parallel",
@@ -272,7 +269,6 @@ def gen_sudoku_cmd(
     n,
     seed,
     algorithm,
-    restart_budget,
     policy_mode,
     max_restarts,
     max_iterations,
@@ -281,7 +277,12 @@ def gen_sudoku_cmd(
     pretty,
     fmt,
 ):
-    """Generate one random n^2 x n^2 Sudoku matrix."""
+    """Generate one random n^2 x n^2 Sudoku matrix.
+
+    The layered algorithm draws layer 1 from a random pi matrix, picks
+    each later layer uniformly among the layers that fit the stack and
+    forces the last one.  Orders above 4 are refused with exit 3.
+    """
     stats_dict = None
     if algorithm == "rejection":
         from .analysis import gen_sudoku_rejection
@@ -292,11 +293,7 @@ def gen_sudoku_cmd(
         stats_dict = {"iterations": iterations, "seed": root_seed}
     elif workers == 1:
         source = RandomSource(seed)
-        policy = RestartPolicy(
-            restart_budget=restart_budget,
-            mode=policy_mode,
-            max_restarts=max_restarts,
-        )
+        policy = RestartPolicy(mode=policy_mode, max_restarts=max_restarts)
         cells, stats = gen_sudoku(n, source, policy)
         root_seed = source.seed
         stats_dict = stats.to_dict()
@@ -305,7 +302,7 @@ def gen_sudoku_cmd(
 
         root_seed = seed if seed is not None else entropy_seed()
         jobs = [
-            (n, derive_seed(root_seed, i), restart_budget, policy_mode, max_restarts)
+            (n, derive_seed(root_seed, i), policy_mode, max_restarts)
             for i in range(workers)
         ]
         winner = None

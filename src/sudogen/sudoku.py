@@ -3,14 +3,15 @@
 A Sudoku matrix decomposes uniquely into n^2 pairwise-disjoint block
 permutation layers, layer k marking the cells that hold value k; and
 conversely any pairwise-disjoint full set of layers composes to a valid
-Sudoku matrix.  The main generator builds the stack layer by layer: it
-picks a deep layer uniformly from the enumerated layers that fit, draws a
-shallow one from random pi matrices until it fits, and restarts the whole
-stack at a dead end or when a layer budget runs out; the last layer is
-forced, since the cells left uncovered by n^2 - 1 disjoint layers always
-form one.  The blind-rejection variant, which draws a complete layer
-tuple per attempt and keeps it only if already disjoint, is
-``gen_sudoku_rejection`` in :mod:`sudogen.analysis`.
+Sudoku matrix.  The main generator builds the stack layer by layer: layer
+1 is the image of a random pi matrix, every later layer is picked
+uniformly among the layers that fit (listed when few fit, counted and
+unranked otherwise), and a stack that no layer fits is restarted or
+backtracked; the last layer is forced, since the cells left uncovered by
+n^2 - 1 disjoint layers always form one.  It runs up to order 4 and
+refuses larger orders.  The blind-rejection variant, which draws a
+complete layer tuple per attempt and keeps it only if already disjoint,
+is ``gen_sudoku_rejection`` in :mod:`sudogen.analysis`.
 
 Exact counts by order: 1 matrix at n = 1, 288 at n = 2, and
 6 670 903 752 021 072 936 960 at n = 3 (embedded constant, far beyond
@@ -20,10 +21,9 @@ enumeration).  No formula is known in general.
 from __future__ import annotations
 
 import functools
-import math
 import time
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .errors import BudgetExhaustedError, CompositionError, InfeasibleError
 from .perm import _is_perm_trusted
@@ -34,7 +34,14 @@ from .rng import RandomSource
 from .sigma import SigmaMatrix, _phi_mask, is_sigma  # noqa: F401
 from .sigma import block_order as sudoku_order
 
-STATS_SCHEMA_VERSION = 2
+STATS_SCHEMA_VERSION = 3
+
+# Highest order the layered generator accepts (see gen_sudoku).
+MAX_LAYERED_ORDER = 4
+# The layered generator lists the layers that fit a stack when at most this
+# many do, and counts them otherwise: for the at most 7 layers that fit an
+# order-2 stack, listing is cheaper than counting and unranking.
+_LIST_CAP = 8
 
 SIGMA_COUNTS = {
     1: 1,
@@ -174,43 +181,34 @@ class DisjointStack:
 class RestartPolicy:
     """Dead-end handling for the layered generator.
 
-    A stack is abandoned at an exact dead end (no layer fits it) or after
-    ``restart_budget`` consecutive rejections at a blindly drawn layer
-    (default 10000 * n).  Then either the whole stack is discarded (mode
-    "restart") or only the most recent accepted layer is dropped, and is
-    no longer picked from the enumerated layers of the stack below it
-    (mode "backtrack").  The budget also caps how many fitting layers the
-    generator enumerates for one stack; the last layer is forced and
-    never rejected.  ``max_restarts`` bounds full restarts; when exceeded
-    the generator raises BudgetExhaustedError with partial stats
+    A stack is a dead end when no layer fits it.  Then either the whole
+    stack is discarded (mode "restart") or only the most recent accepted
+    layer is dropped, and is no longer picked for the stack below it
+    (mode "backtrack").  ``max_restarts`` bounds full restarts; when
+    exceeded the generator raises BudgetExhaustedError with partial stats
     attached.
     """
 
-    restart_budget: int | None = None
     mode: str = "restart"
     max_restarts: int | None = None
 
     def __post_init__(self):
         if self.mode not in ("restart", "backtrack"):
             raise ValueError(f"unknown policy mode {self.mode!r}")
-        if self.restart_budget is not None and self.restart_budget < 1:
-            raise ValueError("restart_budget must be >= 1")
-
-    def budget_for(self, n: int) -> int:
-        return self.restart_budget if self.restart_budget is not None else 10_000 * n
 
 
 @dataclass
 class GenStats:
     """Versioned per-run statistics of the layered generator.
 
-    ``exact_layers`` counts the layers picked from an enumeration of the
-    layers that fit, as opposed to drawn blindly or forced.
+    ``exact_layers`` counts the layers picked among the layers that fit
+    (layers 2 .. n^2 - 1), as opposed to layer 1 and the forced last one.
+    Every picked layer fits, so ``candidates`` counts accepted layers,
+    including those of abandoned stacks.
     """
 
     n: int
     seed: int | None
-    rejections_per_layer: list[int] = field(default_factory=list)
     restarts: int = 0
     backtracks: int = 0
     candidates: int = 0
@@ -220,17 +218,11 @@ class GenStats:
     check_time_s: float = 0.0
     schema_version: int = STATS_SCHEMA_VERSION
 
-    @property
-    def total_rejections(self) -> int:
-        return sum(self.rejections_per_layer)
-
     def to_dict(self) -> dict:
         return {
             "schema_version": self.schema_version,
             "n": self.n,
             "seed": self.seed,
-            "rejections_per_layer": list(self.rejections_per_layer),
-            "total_rejections": self.total_rejections,
             "restarts": self.restarts,
             "backtracks": self.backtracks,
             "candidates": self.candidates,
@@ -288,6 +280,66 @@ def _fitting_layers(n: int, free: int, cap: int) -> list[int] | None:
     return found if walk(0, free, 0) else None
 
 
+def _count_layers(n: int, free: int) -> tuple[int, Callable[[int], int]]:
+    """Count the sigma layers inside the ``free`` cells, and rank them.
+
+    Walks the blocks and cells in the order of ``_fitting_layers``,
+    memoising the number of ways to finish a layer from block b on.  That
+    number depends only on the open cells of blocks b and later, which the
+    band rows and the columns used so far fix.  Returns the count and
+    ``unrank``, which maps r in 1..count to the r-th layer of the walk, so
+    ``unrank(r) == _fitting_layers(n, free, count)[r - 1]``.
+    """
+    blocks, keep = _layer_tables(n)
+    last = len(blocks) - 1
+    rest = list(blocks)  # rest[b]: the cells of blocks b and later
+    for b in range(last - 1, -1, -1):
+        rest[b] |= rest[b + 1]
+    memo: list[dict[int, int]] = [{} for _ in blocks]
+
+    def count(b: int, avail: int) -> int:
+        if b == last:
+            return (avail & blocks[last]).bit_count()
+        avail &= rest[b]
+        known = memo[b].get(avail)
+        if known is not None:
+            return known
+        cells = avail & blocks[b]
+        total = 0
+        if b + 1 == last:
+            # the last block's open cells, without a call per cell
+            final = avail & blocks[last]
+            while cells:
+                low = cells & -cells
+                cells ^= low
+                total += (final & keep[low.bit_length() - 1]).bit_count()
+        else:
+            while cells:
+                low = cells & -cells
+                cells ^= low
+                total += count(b + 1, avail & keep[low.bit_length() - 1])
+        memo[b][avail] = total
+        return total
+
+    def unrank(r: int) -> int:
+        avail, layer = free, 0
+        for b in range(last + 1):
+            cells = avail & blocks[b]
+            while cells:
+                low = cells & -cells
+                cells ^= low
+                after = avail & keep[low.bit_length() - 1]
+                ways = 1 if b == last else count(b + 1, after)
+                if r <= ways:
+                    break
+                r -= ways
+            layer |= low
+            avail = after
+        return layer
+
+    return count(0, free), unrank
+
+
 def gen_sudoku(
     n: int,
     source: RandomSource,
@@ -300,29 +352,26 @@ def gen_sudoku(
 
     - Layer 1 is the image of a fresh random pi matrix; every layer fits
       the empty stack.
-    - Layers 2 .. n^2 - 1 first enumerate the layers that fit, once per
-      stack state.  If there are at most ``cap`` of them, one
-      ``uniform_int`` draw picks one (an "exact" layer, one accepted
-      candidate); if there are none the stack is a dead end and is
-      abandoned at once.  Past ``cap``, candidates are images of fresh
-      random pi matrices, accepted iff disjoint from the stack, and the
-      stack is abandoned after ``restart_budget`` consecutive rejections.
+    - Layers 2 .. n^2 - 1 take one ``uniform_int`` draw among the layers
+      that fit (an "exact" layer).  When at most 8 fit, the generator
+      lists them; past that it counts them with a memoised walk over the
+      blocks and maps the draw to the layer of that rank.  When none fit,
+      the stack is a dead end.
     - The last layer is forced: the cells n^2 - 1 disjoint layers leave
       uncovered hold one cell per row, column and block, so their mask is
-      the only layer that fits.  It draws nothing and counts as one
-      accepted candidate.
+      the only layer that fits.  It draws nothing.
 
-    ``cap`` is min(n * (n!)^n, restart budget).  About n * (n!)^n fitting
-    layers is where enumerating (about that many cells placed) and blind
-    drawing (n^2 cells per candidate, (n!)^(2n) / count candidates) cost
-    the same; the budget also bounds the enumeration's memory.  An
-    abandoned stack is restarted or backtracked as the policy says; when
-    backtracking, a layer that dead-ended a stack is not picked again
-    for that stack, so a stack all of whose layers dead-end is abandoned
-    in turn.
-    Enumerated layers and forced ones draw differently from blind ones,
-    so a seed gives a different matrix than in versions that drew them
-    blindly, though each step's law is unchanged.
+    Every picked layer fits, so each counts as one accepted candidate.  A
+    dead-ended stack is restarted or backtracked as the policy says.  When
+    backtracking, a draw that hits a layer which already dead-ended the
+    same stack is redrawn, and a stack all of whose layers dead-ended is a
+    dead end in turn.  Seeds at n >= 3 give other matrices than in
+    versions that drew deep layers blindly, though each step's law is
+    unchanged.
+
+    Orders above 4 raise InfeasibleError before anything is built: one
+    count of the layers that fit an order-5 stack takes about 30 s and
+    850 MB, and a stack needs 23 of them.
 
     The output is not uniform over Sudoku matrices: at n = 2, 160 of the
     288 matrices come out with probability 1/224 and 128 with 1/448.
@@ -330,9 +379,13 @@ def gen_sudoku(
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
+    if n > MAX_LAYERED_ORDER:
+        raise InfeasibleError(
+            f"layered generation at order {n} is out of reach: a stack counts "
+            f"the layers that fit it {n * n - 2} times, and one such count "
+            f"already takes about 30 s and 850 MB at order 5"
+        )
     policy = policy or RestartPolicy()
-    budget = policy.budget_for(n)
-    cap = min(n * math.factorial(n) ** n, budget)
     side = n * n
     full = (1 << (side * side)) - 1
     perf = time.perf_counter
@@ -340,13 +393,10 @@ def gen_sudoku(
     gen_time = 0.0
     check_time = 0.0
     stack = DisjointStack(n)
-    rejections = [0] * side
     restarts = 0
     backtracks = 0
     candidates = 0
     exact_layers = 0
-    consecutive = 0
-    blind = False  # the current stack has more than cap fitting layers
     # backtrack mode: per depth, the layers already shown to dead-end the
     # stack of that depth; they are no longer picked there
     dead: list[set[int]] = [set() for _ in range(side)]
@@ -355,7 +405,6 @@ def gen_sudoku(
         return GenStats(
             n=n,
             seed=source.seed,
-            rejections_per_layer=list(rejections),
             restarts=restarts,
             backtracks=backtracks,
             candidates=candidates,
@@ -370,35 +419,30 @@ def gen_sudoku(
         t0 = perf()
         if k == side - 1:
             mask = full ^ stack.mask
+        elif k == 0:
+            mask = _phi_mask(gen_pi_direct(n, source), n)
         else:
-            fits = None if k == 0 or blind else _fitting_layers(n, full ^ stack.mask, cap)
-            blind = k > 0 and fits is None
-            if fits and dead[k]:
-                fits = [m for m in fits if m not in dead[k]]
+            free = full ^ stack.mask
+            fits = _fitting_layers(n, free, _LIST_CAP)
             if fits is None:
-                mask = _phi_mask(gen_pi_direct(n, source), n)
-            elif fits:
-                mask = fits[source.uniform_int(len(fits)) - 1]
+                total, unrank = _count_layers(n, free)
+            else:
+                total, unrank = len(fits), lambda r: fits[r - 1]
+            if total > len(dead[k]):
+                mask = unrank(source.uniform_int(total))
+                while mask in dead[k]:
+                    mask = unrank(source.uniform_int(total))
                 exact_layers += 1
             else:
-                mask = None  # dead end: no layer fits this stack
+                mask = None  # dead end: no live layer fits this stack
         t1 = perf()
         gen_time += t1 - t0
         if mask is not None:
             candidates += 1
-            accepted = stack.try_push(SigmaMatrix(n, mask))
+            pushed = stack.try_push(SigmaMatrix(n, mask))
+            assert pushed, "every picked layer fits the stack"
             check_time += perf() - t1
-            if accepted:
-                consecutive = 0
-                blind = False
-                continue
-            rejections[k] += 1
-            consecutive += 1
-            if consecutive < budget:
-                continue
-        consecutive = 0
-        blind = False
-        if policy.mode == "backtrack" and len(stack) > 0:
+        elif policy.mode == "backtrack":
             dead[k].clear()
             dead[k - 1].add(stack.pop().mask)
             backtracks += 1

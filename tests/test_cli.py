@@ -164,14 +164,14 @@ class TestGenSudoku:
         )
         payload = json.loads(result.stdout)
         stats = payload["stats"]
-        assert stats["schema_version"] == 2
+        assert stats["schema_version"] == 3
         assert stats["n"] == 2
         assert stats["seed"] == 4
         assert stats["candidates"] >= 4
 
     def test_stats_on_stderr_in_text_mode(self):
         result = ok("gen-sudoku", "--n", "2", "--seed", "4", "--stats")
-        assert '"schema_version": 2' in result.stderr
+        assert '"schema_version": 3' in result.stderr
 
     def test_rejection_algorithm(self):
         result = ok(
@@ -195,11 +195,18 @@ class TestGenSudoku:
         assert result.exit_code == 3
 
     def test_layered_restarts_exhausted(self):
-        result = run(
-            "gen-sudoku", "--n", "2", "--seed", "0",
-            "--restart-budget", "1", "--max-restarts", "0",
-        )
+        # the first order-3 stack of seed 0 dead-ends
+        result = run("gen-sudoku", "--n", "3", "--seed", "0", "--max-restarts", "0")
         assert result.exit_code == 3
+        assert "gave up after 0 full restarts" in result.stderr
+
+    def test_layered_refused_above_order_four(self):
+        result = run("gen-sudoku", "--n", "5", "--seed", "0")
+        assert result.exit_code == 3
+        assert "order 5 is out of reach" in result.stderr
+
+    def test_restart_budget_option_is_gone(self):
+        assert run("gen-sudoku", "--n", "2", "--restart-budget", "1").exit_code == 2
 
     def test_parallel_deterministic(self):
         a = ok("gen-sudoku", "--n", "2", "--seed", "5", "--parallel", "2")

@@ -20,6 +20,7 @@ CHEAP = [
     "sudogen gen-sudoku --n 3 --seed 7 --pretty --stats",
     "sudogen gen-pi --n 2 --seed 1 | sudogen map --phi | sudogen check --kind sigma",
     "sudogen gen-pi --n 8 --seed 3 | sudogen map --phi | sudogen map --phi-inverse",
+    "sudogen gen-sudoku --n 4 --seed 2 | sudogen check --kind sudoku",
     "sudogen gen-sudoku --n 2 --seed 5 | sudogen decompose | sudogen compose",
     "sudogen estimate --generator sudoku-rejection --n 2 --samples 200000 --seed 1",
 ]

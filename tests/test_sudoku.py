@@ -35,7 +35,8 @@ from sudogen import (
     sigma_disjoint,
     sudoku_order,
 )
-from sudogen.sudoku import _fitting_layers
+import sudogen.sudoku as sudoku_mod
+from sudogen.sudoku import _count_layers, _fitting_layers
 
 EXAMPLE = [[1, 2, 3, 4], [3, 4, 1, 2], [2, 1, 4, 3], [4, 3, 2, 1]]
 
@@ -50,6 +51,15 @@ DRAWS_L1 = [1, 1, 1, 1, 1, 1, 1, 1]
 DRAWS_L2 = [1, 1, 1, 1, 2, 1, 2, 1]
 DRAWS_L3 = [2, 1, 2, 1, 1, 1, 1, 1]
 DRAWS_L4 = [2, 1, 2, 1, 2, 1, 2, 1]
+
+# order 3: all-ones draws make layer 1 (18 draws, ranges 3, 2, 1 per
+# row); rank 1 at every later layer then completes a stack, while the
+# ranks in DEAD3 pick layers 2..7 so that no eighth layer fits
+ONES3 = [1] * 18
+CALLS3 = [3, 2, 1] * 6
+FIRST3_TOTALS = [17972, 6560, 2020, 608, 244, 216, 8]
+DEAD3 = [732, 209, 1331, 278, 2, 4]
+DEAD3_TOTALS = [17972, 6480, 2044, 469, 76, 7]
 
 
 def example_layers():
@@ -297,7 +307,11 @@ class TestFittingLayers:
             deeper = set()
             for used in stacks:
                 expected = [m for m in masks if not m & used]
-                assert sorted(_fitting_layers(2, full ^ used, 16)) == sorted(expected)
+                listed = _fitting_layers(2, full ^ used, 16)
+                assert sorted(listed) == sorted(expected)
+                total, unrank = _count_layers(2, full ^ used)
+                assert total == len(expected)
+                assert [unrank(r) for r in range(1, total + 1)] == listed
                 deeper.update(used | m for m in expected)
             stacks = deeper
         assert stacks == {full}
@@ -310,7 +324,11 @@ class TestFittingLayers:
             for layer in decompose(gen_sudoku(3, RandomSource(seed))[0])[:8]:
                 used |= layer.mask
                 expected = [m for m in masks if not m & used]
-                assert sorted(_fitting_layers(3, full ^ used, len(masks))) == sorted(expected)
+                listed = _fitting_layers(3, full ^ used, len(masks))
+                assert sorted(listed) == sorted(expected)
+                total, unrank = _count_layers(3, full ^ used)
+                assert total == len(expected)
+                assert [unrank(r) for r in range(1, total + 1)] == listed
 
     def test_none_past_cap(self, sigma16):
         full = (1 << 16) - 1
@@ -328,26 +346,27 @@ class TestFittingLayers:
         assert _fitting_layers(4, (1 << 256) - 1, 1000) is None
         assert time.perf_counter() - t0 < 5.0
 
+    def test_order_four_counts_the_empty_grid(self):
+        # every one of the (4!)^8 order-4 layers fits the empty grid
+        t0 = time.perf_counter()
+        total, unrank = _count_layers(4, (1 << 256) - 1)
+        assert total == 24**8 == 110_075_314_176
+        assert time.perf_counter() - t0 < 5.0
+        for r in (1, total // 3, total):
+            assert is_sigma(SigmaMatrix(4, unrank(r)).to_rows())
+
 
 class TestRestartPolicy:
-    def test_default_budget_scales_with_order(self):
-        assert RestartPolicy().budget_for(2) == 20_000
-        assert RestartPolicy(restart_budget=7).budget_for(2) == 7
-
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             RestartPolicy(mode="panic")
-
-    def test_invalid_budget(self):
-        with pytest.raises(ValueError):
-            RestartPolicy(restart_budget=0)
 
 
 class TestLayeredGenerator:
     def test_order_one_trivial(self):
         cells, stats = gen_sudoku(1, RandomSource(0))
         assert cells == [[1]]
-        assert stats.total_rejections == 0
+        assert stats.exact_layers == 0
         assert stats.candidates == 1
         assert stats.restarts == 0
 
@@ -362,59 +381,104 @@ class TestLayeredGenerator:
         assert src.calls == [2, 1, 2, 1, 2, 1, 2, 1, 7, 4]
         assert stats.candidates == 4
         assert stats.exact_layers == 2
-        assert stats.rejections_per_layer == [0, 0, 0, 0]
 
     def test_scripted_restart_path(self):
-        # duplicate second candidate trips the budget of 1 and restarts;
-        # the last layer is forced, so its draws are not in the script
-        script = DRAWS_L1 + DRAWS_L1 + DRAWS_L1 + DRAWS_L2 + DRAWS_L3
+        # the DEAD3 stack dead-ends and is discarded; the second stack
+        # takes rank 1 throughout.  Every total above 8 is counted.
+        script = ONES3 + DEAD3 + ONES3 + [1] * 7
         src = ScriptedSource(script)
-        policy = RestartPolicy(restart_budget=1, mode="restart")
-        cells, stats = gen_sudoku(2, src, policy)
-        assert cells == EXAMPLE
+        cells, stats = gen_sudoku(3, src, RestartPolicy(mode="restart"))
+        assert cells == gen_sudoku(3, ScriptedSource(ONES3 + [1] * 7))[0]
+        assert src.exhausted
+        assert src.calls == CALLS3 + DEAD3_TOTALS + CALLS3 + FIRST3_TOTALS
         assert stats.restarts == 1
         assert stats.backtracks == 0
-        assert stats.rejections_per_layer == [0, 1, 0, 0]
-        assert stats.candidates == 6
-        assert src.exhausted
-        # a budget of 1 caps the enumeration below the 7 layers that fit
-        # after layer 1, so layers 2 and 3 are drawn blindly
-        assert stats.exact_layers == 0
+        assert stats.candidates == 16
+        assert stats.exact_layers == 13
 
     def test_scripted_backtrack_path(self):
-        script = DRAWS_L1 + DRAWS_L1 + DRAWS_L1 + DRAWS_L2 + DRAWS_L3
+        # a dead end at depth 7 pops layer 7 (rank 2 of 14); drawing rank
+        # 2 again there is refused and redrawn
+        script = ONES3 + [12030, 4496, 1440, 398, 48, 2] + [2, 1, 1]
         src = ScriptedSource(script)
-        policy = RestartPolicy(restart_budget=1, mode="backtrack")
-        cells, stats = gen_sudoku(2, src, policy)
-        assert cells == EXAMPLE
+        cells, stats = gen_sudoku(3, src, RestartPolicy(mode="backtrack"))
+        assert is_sudoku(cells)
+        assert src.exhausted
+        assert src.calls == CALLS3 + [17972, 6170, 1558, 402, 75, 14] + [14, 14, 2]
         assert stats.restarts == 0
         assert stats.backtracks == 1
-        assert stats.candidates == 6
+        assert stats.candidates == 10
+        assert stats.exact_layers == 8
+
+    def test_scripted_exhausted_stack(self):
+        # each of the 4 layers that fit the depth-6 stack dead-ends: after
+        # the fourth is popped that stack is itself a dead end, without a
+        # draw, and layer 6 is popped in turn
+        script = ONES3 + [15061, 2374, 45, 427, 72, 1] + [2, 3, 4] + [1, 1, 1]
+        src = ScriptedSource(script)
+        cells, stats = gen_sudoku(3, src, RestartPolicy(mode="backtrack"))
+        assert is_sudoku(cells)
+        assert src.exhausted
+        assert src.calls == CALLS3 + [17972, 6033, 1858, 531, 80, 4] + [4, 4, 4] + [80, 26, 2]
+        assert stats.restarts == 0
+        assert stats.backtracks == 5
+        assert stats.candidates == 14
 
     def test_scripted_budget_exhausted(self):
-        src = ScriptedSource(DRAWS_L1 + DRAWS_L1)
-        policy = RestartPolicy(restart_budget=1, max_restarts=0)
+        src = ScriptedSource(ONES3 + DEAD3)
+        policy = RestartPolicy(max_restarts=0)
         with pytest.raises(BudgetExhaustedError) as exc_info:
-            gen_sudoku(2, src, policy)
+            gen_sudoku(3, src, policy)
         stats = exc_info.value.stats
         assert stats is not None
         assert stats.restarts == 1
-        assert stats.candidates == 2
+        assert stats.candidates == 7
+        assert stats.exact_layers == 6
+        assert src.exhausted
 
-    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("seed", [0, 2])
     @pytest.mark.parametrize("mode", ["restart", "backtrack"])
-    def test_dead_ends_are_exact_at_order_three(self, mode, seed):
-        # both seeds abandon stacks under both policies; layers 5..8 are
-        # picked from enumerations and never rejected, and no blind layer
-        # comes near the budget, so every abandoned stack was a dead end.
-        # Seed 1 backtracks into a stack whose every layer dead-ends, which
-        # only terminates because a dead-ended layer is not picked again.
+    def test_dead_ends_are_exact_at_order_three(self, mode, seed, monkeypatch):
+        # both seeds abandon stacks under both policies, and every
+        # candidate is an epoch's layer 1, an exact pick or a forced last
+        # layer.  Under backtracking, seed 2 pops a stack that layers still
+        # fit, all of them dead ends, which only terminates because a
+        # dead-ended layer is not picked again.
+        full = (1 << 81) - 1
+        popped = []
+        pop = DisjointStack.pop
+
+        def recording_pop(stack):
+            popped.append(full ^ stack.mask)
+            return pop(stack)
+
+        monkeypatch.setattr(DisjointStack, "pop", recording_pop)
         cells, stats = gen_sudoku(3, RandomSource(seed), RestartPolicy(mode=mode))
         assert is_sudoku(cells)
         assert stats.restarts + stats.backtracks > 0
-        assert stats.rejections_per_layer[4:] == [0] * 5
-        assert 0 < max(stats.rejections_per_layer) < RestartPolicy().budget_for(3)
-        assert stats.exact_layers >= 4
+        assert stats.candidates == stats.exact_layers + stats.restarts + 2
+        exhausted = [free for free in popped if _count_layers(3, free)[0] > 0]
+        assert len(exhausted) == (mode == "backtrack" and seed == 2)
+
+    @pytest.mark.parametrize("seed", [2, 4])
+    @pytest.mark.parametrize("mode", ["restart", "backtrack"])
+    def test_order_four(self, mode, seed):
+        cells, stats = gen_sudoku(4, RandomSource(seed), RestartPolicy(mode=mode))
+        assert is_sudoku(cells)
+        assert stats.exact_layers == 14
+
+    @pytest.mark.parametrize("n", [5, 16])
+    def test_refused_above_order_four_before_building(self, n, monkeypatch):
+        def boom(*args):
+            raise AssertionError("built or counted a layer")
+
+        monkeypatch.setattr(sudoku_mod, "_layer_tables", boom)
+        monkeypatch.setattr(sudoku_mod, "_count_layers", boom)
+        monkeypatch.setattr(sudoku_mod, "DisjointStack", boom)
+        src = ScriptedSource([])
+        with pytest.raises(InfeasibleError, match=f"at order {n} is out of reach"):
+            gen_sudoku(n, src)
+        assert src.calls == []
 
     @pytest.mark.parametrize("n,seed", [(1, 5), (2, 5), (3, 1)])
     def test_output_is_valid(self, n, seed):
@@ -427,12 +491,11 @@ class TestLayeredGenerator:
         assert stats.check_time_s >= 0
 
     def test_stats_accounting(self):
-        cells, stats = gen_sudoku(2, RandomSource(12))
-        accepted = stats.candidates - stats.total_rejections
-        if stats.restarts == 0 and stats.backtracks == 0:
-            assert accepted == 4
-        else:
-            assert accepted >= 4
+        # order 2 never dead-ends (test_exact_law_order_two), so a run
+        # pushes its four layers and nothing else
+        _, stats = gen_sudoku(2, RandomSource(12))
+        assert (stats.candidates, stats.exact_layers) == (4, 2)
+        assert stats.restarts == stats.backtracks == 0
 
     def test_stats_dict_schema(self):
         _, stats = gen_sudoku(2, RandomSource(1))
@@ -441,8 +504,6 @@ class TestLayeredGenerator:
             "schema_version",
             "n",
             "seed",
-            "rejections_per_layer",
-            "total_rejections",
             "restarts",
             "backtracks",
             "candidates",
@@ -451,7 +512,7 @@ class TestLayeredGenerator:
             "gen_time_s",
             "check_time_s",
         ]
-        assert d["schema_version"] == 2
+        assert d["schema_version"] == 3
         # at order 2 layers 2 and 3 are always picked from an enumeration
         assert d["exact_layers"] == 2
 
