@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import functools
 import io
-import json
 import sys
 
 import click
 
 # Each child process pays for what it imports, so sudogen.analysis, the
-# process pool and csv are imported inside the commands that use them.
+# process pool, csv and json are imported inside the commands that use them.
 from .errors import (
     BENCH_IDS,
     GENERATOR_IDS,
@@ -97,12 +96,18 @@ def _emit(
     if iterations is not None:
         json_payload["iterations"] = iterations
     if fmt == "json":
-        click.echo(json.dumps(json_payload, indent=2))
+        _echo_json(json_payload)
     else:
         if iterations is not None:
             click.echo(f"iterations: {iterations}", err=True)
         click.echo(text_payload)
         click.echo(f"seed: {seed}", err=True)
+
+
+def _echo_json(payload: dict, err: bool = False) -> None:
+    import json
+
+    click.echo(json.dumps(payload, indent=2), err=err)
 
 
 def _echo_csv(header: list[str], rows: list[list]) -> None:
@@ -327,7 +332,7 @@ def gen_sudoku_cmd(
     if want_stats:
         payload["stats"] = stats_dict
         if fmt == "text":
-            click.echo(json.dumps(stats_dict, indent=2), err=True)
+            _echo_json(stats_dict, err=True)
     _emit(format_sudoku(cells, pretty=pretty), payload, fmt, root_seed)
 
 
@@ -452,7 +457,7 @@ def estimate_cmd(generator_id, n, samples, seed, fmt):
     report = estimate_p(generator_id, n, samples, source)
     data = report.to_dict()
     if fmt == "json":
-        click.echo(json.dumps(data, indent=2))
+        _echo_json(data)
         return
     if fmt == "csv":
         _echo_csv(
@@ -540,7 +545,7 @@ def bench_cmd(generator_id, sizes, repetitions, seed, fmt):
     report = bench_tau(generator_id, sizes, repetitions, source)
     data = report.to_dict()
     if fmt == "json":
-        click.echo(json.dumps(data, indent=2))
+        _echo_json(data)
         return
     if fmt == "csv":
         _echo_csv(

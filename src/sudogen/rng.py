@@ -81,8 +81,11 @@ class RandomSource:
         Makes exactly the ``getrandbits`` calls of
         ``[uniform_int(k) for k in ks]`` and returns the same values, in
         one call instead of one per draw.  Adds ``len(ks)`` to ``draws``.
-        ValueError if any k < 1, raised before anything is drawn.
+        ``ks`` may be any iterable, iterators included.  ValueError if any
+        k < 1, raised before anything is drawn.
         """
+        if not isinstance(ks, (list, tuple, range)):
+            ks = list(ks)  # the check below must not use an iterator up
         if ks and min(ks) < 1:
             raise ValueError(f"k must be >= 1, got {min(ks)}")
         getrandbits = self._getrandbits

@@ -92,30 +92,30 @@ def compose(layers: list[SigmaMatrix]) -> list[list[int]]:
     for k, layer in enumerate(layers, start=1):
         if layer.n != n:
             raise ValueError(f"layer {k} has order {layer.n}, expected {n}")
+    size = side * side
     acc = 0
-    cells = [[0] * side for _ in range(side)]
+    flat = [0] * size  # cell (i, j) at i * side + j, as in the masks
     for k, layer in enumerate(layers, start=1):
-        overlap = acc & layer.mask
+        mask = layer.mask
+        overlap = acc & mask
         if overlap:
             i, j = divmod((overlap & -overlap).bit_length() - 1, side)
             raise CompositionError(
                 f"layer {k} overlaps an earlier layer at ({i + 1}, {j + 1})",
                 position=(i + 1, j + 1),
             )
-        acc |= layer.mask
-        mask = layer.mask
+        acc |= mask
         while mask:
             low = mask & -mask
-            i, j = divmod(low.bit_length() - 1, side)
-            cells[i][j] = k
+            flat[low.bit_length() - 1] = k
             mask ^= low
-    missing = ~acc & ((1 << (side * side)) - 1)
+    missing = ~acc & ((1 << size) - 1)
     if missing:
         i, j = divmod((missing & -missing).bit_length() - 1, side)
         raise CompositionError(
             f"no layer covers ({i + 1}, {j + 1})", position=(i + 1, j + 1)
         )
-    return cells
+    return [flat[i : i + side] for i in range(0, size, side)]
 
 
 def decompose(cells: list[list[int]]) -> list[SigmaMatrix]:
@@ -280,6 +280,19 @@ def _fitting_layers(n: int, free: int, cap: int) -> list[int] | None:
     return found if walk(0, free, 0) else None
 
 
+@functools.lru_cache(maxsize=4096)
+def _listed_layers(n: int, free: int) -> tuple[int, ...] | None:
+    """``_fitting_layers(n, free, _LIST_CAP)`` as a tuple, memoised.
+
+    A listing depends only on (n, free), and at order 2 only 64 free
+    masks ever reach it, so repeated calls look their listing up instead
+    of walking again.  The memo is bounded, since at order 3 under 1% of
+    listings repeat; each entry holds at most ``_LIST_CAP`` masks.
+    """
+    fits = _fitting_layers(n, free, _LIST_CAP)
+    return None if fits is None else tuple(fits)
+
+
 def _count_layers(n: int, free: int) -> tuple[int, Callable[[int], int]]:
     """Count the sigma layers inside the ``free`` cells, and rank them.
 
@@ -356,7 +369,8 @@ def gen_sudoku(
       that fit (an "exact" layer).  When at most 8 fit, the generator
       lists them; past that it counts them with a memoised walk over the
       blocks and maps the draw to the layer of that rank.  When none fit,
-      the stack is a dead end.
+      the stack is a dead end.  Listings are memoised across calls (see
+      ``_listed_layers``); counts live only as long as their stack.
     - The last layer is forced: the cells n^2 - 1 disjoint layers leave
       uncovered hold one cell per row, column and block, so their mask is
       the only layer that fits.  It draws nothing.
@@ -400,6 +414,12 @@ def gen_sudoku(
     # backtrack mode: per depth, the layers already shown to dead-end the
     # stack of that depth; they are no longer picked there
     dead: list[set[int]] = [set() for _ in range(side)]
+    # backtrack mode: per depth, the pick table (total, unrank) of the
+    # stack of that depth, so a pop back to it draws without recounting.
+    # Like dead[k], tables[k] is dropped when its stack is popped away.
+    # Restart mode never returns to a stack and keeps no table.
+    backtracking = policy.mode == "backtrack"
+    tables: list[tuple[int, Callable[[int], int]] | None] = [None] * side
 
     def make_stats() -> GenStats:
         return GenStats(
@@ -422,12 +442,17 @@ def gen_sudoku(
         elif k == 0:
             mask = _phi_mask(gen_pi_direct(n, source), n)
         else:
-            free = full ^ stack.mask
-            fits = _fitting_layers(n, free, _LIST_CAP)
-            if fits is None:
-                total, unrank = _count_layers(n, free)
-            else:
-                total, unrank = len(fits), lambda r: fits[r - 1]
+            table = tables[k]
+            if table is None:
+                free = full ^ stack.mask
+                fits = _listed_layers(n, free)
+                if fits is None:
+                    table = _count_layers(n, free)
+                else:
+                    table = len(fits), lambda r, fits=fits: fits[r - 1]
+                if backtracking:
+                    tables[k] = table
+            total, unrank = table
             if total > len(dead[k]):
                 mask = unrank(source.uniform_int(total))
                 while mask in dead[k]:
@@ -442,8 +467,9 @@ def gen_sudoku(
             pushed = stack.try_push(SigmaMatrix(n, mask))
             assert pushed, "every picked layer fits the stack"
             check_time += perf() - t1
-        elif policy.mode == "backtrack":
+        elif backtracking:
             dead[k].clear()
+            tables[k] = None
             dead[k - 1].add(stack.pop().mask)
             backtracks += 1
         else:

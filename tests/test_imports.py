@@ -51,10 +51,42 @@ def loaded_modules(code: str, *args: str, stdin: str = "") -> set[str]:
     return set(report[1:])
 
 
+GRID = "1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n"
+
+
+def _text_inputs() -> dict[str, str]:
+    # stdin for each text-only command, all built from GRID
+    from sudogen.formats import format_layers, format_pi, format_sigma
+    from sudogen.sigma import phi, phi_inverse
+    from sudogen.sudoku import decompose
+
+    layers = decompose([[int(v) for v in row.split()] for row in GRID.splitlines()])
+    pi = phi_inverse(layers[0])
+    return {
+        "map --phi": format_pi(pi),
+        "map --phi-inverse": format_sigma(phi(pi)),
+        "decompose": GRID,
+        "compose": format_layers(layers),
+        "check --kind sudoku": GRID,
+    }
+
+
+TEXT_INPUTS = _text_inputs()
+
+
 class TestImportDiet:
+    @pytest.mark.parametrize("command", list(TEXT_INPUTS))
+    def test_text_commands_do_not_load_json(self, command):
+        loaded = loaded_modules(RUN_CLI, *command.split(), stdin=TEXT_INPUTS[command])
+        assert "sudogen.formats" in loaded
+        assert "json" not in loaded
+
+    def test_json_format_still_loads_json(self):
+        args = ["gen-perm", "--n", "3", "--seed", "1", "--format", "json"]
+        assert "json" in loaded_modules(RUN_CLI, *args)
+
     def test_decompose_loads_nothing_heavy(self):
-        grid = "1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n"
-        loaded = loaded_modules(RUN_CLI, "decompose", stdin=grid)
+        loaded = loaded_modules(RUN_CLI, "decompose", stdin=GRID)
         assert "sudogen.sudoku" in loaded
         assert sorted(loaded & set(HEAVY)) == []
 

@@ -131,6 +131,20 @@ def test_uniform_seq_takes_a_range():
     assert batched.draws == 9
 
 
+def test_uniform_seq_takes_an_iterator():
+    # the k >= 1 check must not use the iterator up before the draws
+    ks = [3, 2, 1, 7, 300]
+    listed = RandomSource(5)
+    streamed = RandomSource(5)
+    assert streamed.uniform_seq(iter(ks)) == listed.uniform_seq(ks)
+    assert streamed.uniform_seq(k for k in ks) == listed.uniform_seq(ks)
+    assert streamed.draws == listed.draws == 2 * len(ks)
+    with pytest.raises(ValueError):
+        streamed.uniform_seq(iter([4, 0]))
+    assert streamed.draws == listed.draws
+    assert streamed.uniform_int(2**30) == listed.uniform_int(2**30)
+
+
 @pytest.mark.parametrize("ks", [[0], [3, 0], [2, 5, -1], [-4, 7]])
 def test_uniform_seq_rejects_k_below_one_before_drawing(ks):
     src = RandomSource(9)

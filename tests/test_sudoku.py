@@ -36,7 +36,7 @@ from sudogen import (
     sudoku_order,
 )
 import sudogen.sudoku as sudoku_mod
-from sudogen.sudoku import _count_layers, _fitting_layers
+from sudogen.sudoku import _LIST_CAP, _count_layers, _fitting_layers, _listed_layers
 
 EXAMPLE = [[1, 2, 3, 4], [3, 4, 1, 2], [2, 1, 4, 3], [4, 3, 2, 1]]
 
@@ -537,6 +537,73 @@ class TestLayeredGenerator:
         assert chi2.sf(stat, 287) > 1e-4
         # the same sample rejects the uniform law, so the test has power
         assert chi2.sf(chi_square_uniform(list(counts.values())), 287) < 1e-4
+
+
+def seeded_runs(n, seeds, mode="restart", before=None):
+    """Grids, stats counts, draws and next stream value of seeded runs."""
+    out = []
+    for seed in seeds:
+        if before is not None:
+            before()
+        src = RandomSource(seed)
+        cells, stats = gen_sudoku(n, src, RestartPolicy(mode=mode))
+        counts = (stats.restarts, stats.backtracks, stats.candidates, stats.exact_layers)
+        out.append((cells, counts, src.draws, src.uniform_int(2**40)))
+    return out
+
+
+class TestPickTables:
+    def test_backtracking_counts_each_stack_once(self, monkeypatch):
+        # seed 6 backtracks 1208 times over 45 distinct counted stacks;
+        # recounting after every pop made 630 counts
+        counted = []
+
+        def spy(n, free):
+            counted.append(free)
+            return _count_layers(n, free)
+
+        monkeypatch.setattr(sudoku_mod, "_count_layers", spy)
+        cells, stats = gen_sudoku(4, RandomSource(6), RestartPolicy(mode="backtrack"))
+        assert is_sudoku(cells)
+        assert stats.backtracks == 1208
+        assert len(counted) == len(set(counted)) <= 45
+
+    @pytest.mark.parametrize(
+        "n,seeds,mode",
+        [(2, range(200), "restart"), (3, range(10), "restart"), (3, range(10), "backtrack")],
+    )
+    def test_cold_and_warm_memo_agree(self, n, seeds, mode):
+        cold = seeded_runs(n, seeds, mode, before=_listed_layers.cache_clear)
+        warm = seeded_runs(n, seeds, mode)
+        assert warm == cold
+        assert warm == seeded_runs(n, seeds, mode)
+
+    def test_memo_is_bounded_and_holds_short_listings(self, monkeypatch):
+        # every listing the generator asked for is a memo hit afterwards,
+        # so looking them up again reads what the memo holds
+        assert _listed_layers.cache_info().maxsize is not None
+        listed = []
+
+        def spy(n, free, cap):
+            listed.append((n, free))
+            return _fitting_layers(n, free, cap)
+
+        monkeypatch.setattr(sudoku_mod, "_fitting_layers", spy)
+        _listed_layers.cache_clear()
+        seeded_runs(2, range(500))
+        # only 64 free masks of order 2 are ever listed
+        assert _listed_layers.cache_info().currsize == len(set(listed)) <= 64
+        seeded_runs(3, range(2))
+        size = _listed_layers.cache_info().currsize
+        held = [_listed_layers(n, free) for n, free in set(listed)]
+        assert _listed_layers.cache_info().currsize == size
+        assert None in held
+        for fits in held:
+            assert fits is None or (
+                isinstance(fits, tuple)
+                and len(fits) <= _LIST_CAP
+                and all(isinstance(m, int) for m in fits)
+            )
 
 
 class TestRejectionGenerator:
