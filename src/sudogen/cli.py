@@ -16,14 +16,14 @@ drawn from entropy and reported.
 
 from __future__ import annotations
 
-import functools
+import argparse
 import io
+import os
 import sys
 
-import click
-
-# Each child process pays for what it imports, so sudogen.analysis, the
-# process pool, csv and json are imported inside the commands that use them.
+# Each child process pays for what it imports, so sudogen.sudoku,
+# sudogen.analysis, the process pool, csv and json are imported inside the
+# commands that use them, and the parser is the standard library's argparse.
 from .errors import (
     BENCH_IDS,
     GENERATOR_IDS,
@@ -53,35 +53,14 @@ from .perm import gen_perm_direct, is_permutation
 from .pi import gen_pi_direct, is_pi
 from .rng import RandomSource, derive_seed, entropy_seed
 from .sigma import SigmaMatrix, is_sigma, phi, phi_inverse
-from .sudoku import (
-    RestartPolicy,
-    compose as compose_layers,
-    decompose as decompose_cells,
-    enumerate_sudoku,
-    gen_sudoku,
-    is_sudoku,
-    iter_sudoku,
-)
-
-_SEED_RANGE = click.IntRange(0, 2**64 - 1)
 
 
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except MatrixParseError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except (InfeasibleError, BudgetExhaustedError, UnknownSigmaError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-        except (CompositionError, ValueError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-
-    return wrapper
+def _echo(text: str = "", err: bool = False, nl: bool = True) -> None:
+    # One write and a flush per call, so stdout and stderr lines keep their
+    # order when both go to one file.
+    stream = sys.stderr if err else sys.stdout
+    stream.write(text + "\n" if nl else text)
+    stream.flush()
 
 
 def _emit(
@@ -99,15 +78,15 @@ def _emit(
         _echo_json(json_payload)
     else:
         if iterations is not None:
-            click.echo(f"iterations: {iterations}", err=True)
-        click.echo(text_payload)
-        click.echo(f"seed: {seed}", err=True)
+            _echo(f"iterations: {iterations}", err=True)
+        _echo(text_payload)
+        _echo(f"seed: {seed}", err=True)
 
 
 def _echo_json(payload: dict, err: bool = False) -> None:
     import json
 
-    click.echo(json.dumps(payload, indent=2), err=err)
+    _echo(json.dumps(payload, indent=2), err=err)
 
 
 def _echo_csv(header: list[str], rows: list[list]) -> None:
@@ -117,107 +96,48 @@ def _echo_csv(header: list[str], rows: list[list]) -> None:
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    click.echo(buf.getvalue(), nl=False)
+    _echo(buf.getvalue(), nl=False)
 
 
-def _read_stdin() -> str:
-    return click.get_text_stream("stdin").read()
-
-
-@click.group()
-def main():
-    """Random permutations, pi matrices, block permutation matrices,
-    and Sudoku matrices, with acceptance-rate and timing analysis."""
-
-
-@main.command("gen-perm")
-@click.option("--n", required=True, type=click.IntRange(min=1), help="Order.")
-@click.option("--seed", type=_SEED_RANGE, default=None, help="RNG seed.")
-@click.option(
-    "--algorithm",
-    type=click.Choice(["direct", "rejection"]),
-    default="direct",
-    show_default=True,
-)
-@click.option(
-    "--variant",
-    type=click.Choice(["shift", "swap"]),
-    default="shift",
-    show_default=True,
-    help="Deletion strategy of the direct algorithm.",
-)
-@click.option("--max-iterations", type=click.IntRange(min=1), default=None)
-@click.option(
-    "--format", "fmt", type=click.Choice(["text", "json"]), default="text"
-)
-@_guarded
-def gen_perm_cmd(n, seed, algorithm, variant, max_iterations, fmt):
+def gen_perm_cmd(args):
     """Generate one random permutation of 1..n."""
-    source = RandomSource(seed)
-    if algorithm == "direct":
-        values, iterations = gen_perm_direct(n, source, variant=variant), None
+    source = RandomSource(args.seed)
+    if args.algorithm == "direct":
+        values, iterations = gen_perm_direct(args.n, source, variant=args.variant), None
     else:
         from .analysis import gen_perm_rejection
 
-        values, iterations = gen_perm_rejection(n, source, max_iterations)
-    _emit(format_perm(values), perm_json(values, source.seed), fmt, source.seed, iterations)
+        values, iterations = gen_perm_rejection(args.n, source, args.max_iterations)
+    _emit(format_perm(values), perm_json(values, source.seed), args.fmt, source.seed, iterations)
 
 
-@main.command("gen-pi")
-@click.option("--n", required=True, type=click.IntRange(min=1))
-@click.option("--seed", type=_SEED_RANGE, default=None)
-@click.option(
-    "--algorithm",
-    type=click.Choice(["direct", "rejection"]),
-    default="direct",
-    show_default=True,
-)
-@click.option("--max-iterations", type=click.IntRange(min=1), default=None)
-@click.option(
-    "--format", "fmt", type=click.Choice(["text", "json"]), default="text"
-)
-@_guarded
-def gen_pi_cmd(n, seed, algorithm, max_iterations, fmt):
+def gen_pi_cmd(args):
     """Generate a random 2n x n matrix whose rows are all permutations."""
-    source = RandomSource(seed)
-    if algorithm == "direct":
-        rows, iterations = gen_pi_direct(n, source), None
+    source = RandomSource(args.seed)
+    if args.algorithm == "direct":
+        rows, iterations = gen_pi_direct(args.n, source), None
     else:
         from .analysis import gen_pi_rejection
 
-        rows, iterations = gen_pi_rejection(n, source, max_iterations)
-    _emit(format_pi(rows), pi_json(rows, source.seed), fmt, source.seed, iterations)
+        rows, iterations = gen_pi_rejection(args.n, source, args.max_iterations)
+    _emit(format_pi(rows), pi_json(rows, source.seed), args.fmt, source.seed, iterations)
 
 
-@main.command("gen-sigma")
-@click.option("--n", required=True, type=click.IntRange(min=1))
-@click.option("--seed", type=_SEED_RANGE, default=None)
-@click.option(
-    "--algorithm",
-    type=click.Choice(["direct", "rejection"]),
-    default="direct",
-    show_default=True,
-    help="direct = map a random pi matrix through the block bijection; "
-    "rejection = draw raw bits until they form a valid matrix (n <= 2).",
-)
-@click.option("--max-iterations", type=click.IntRange(min=1), default=None)
-@click.option(
-    "--format", "fmt", type=click.Choice(["text", "json"]), default="text"
-)
-@_guarded
-def gen_sigma_cmd(n, seed, algorithm, max_iterations, fmt):
+def gen_sigma_cmd(args):
     """Generate a random block permutation matrix of side n^2."""
-    source = RandomSource(seed)
-    if algorithm == "direct":
-        matrix, iterations = phi(gen_pi_direct(n, source)), None
+    source = RandomSource(args.seed)
+    if args.algorithm == "direct":
+        matrix, iterations = phi(gen_pi_direct(args.n, source)), None
     else:
         from .analysis import gen_sigma_rejection
 
-        matrix, iterations = gen_sigma_rejection(n, source, max_iterations)
-    _emit(format_sigma(matrix), sigma_json(matrix, source.seed), fmt, source.seed, iterations)
+        matrix, iterations = gen_sigma_rejection(args.n, source, args.max_iterations)
+    _emit(format_sigma(matrix), sigma_json(matrix, source.seed), args.fmt, source.seed, iterations)
 
 
 def _parallel_attempt(args):
+    from .sudoku import RestartPolicy, gen_sudoku
+
     n, seed, mode, max_restarts = args
     source = RandomSource(seed)
     policy = RestartPolicy(mode=mode, max_restarts=max_restarts)
@@ -228,86 +148,38 @@ def _parallel_attempt(args):
     return cells, stats.to_dict()
 
 
-@main.command("gen-sudoku")
-@click.option("--n", required=True, type=click.IntRange(min=1))
-@click.option("--seed", type=_SEED_RANGE, default=None)
-@click.option(
-    "--algorithm",
-    type=click.Choice(["layered", "rejection"]),
-    default="layered",
-    show_default=True,
-    help="layered = stack disjoint random layers (n <= 4); rejection = "
-    "draw a complete layer tuple per attempt (n <= 2).",
-)
-@click.option(
-    "--policy",
-    "policy_mode",
-    type=click.Choice(["restart", "backtrack"]),
-    default="restart",
-    show_default=True,
-    help="When no layer fits the stack: discard the whole stack, or drop "
-    "its last layer and never pick that layer there again.",
-)
-@click.option(
-    "--max-restarts",
-    type=click.IntRange(min=0),
-    default=None,
-    help="Full restarts allowed before giving up with exit 3 [default: no limit].",
-)
-@click.option("--max-iterations", type=click.IntRange(min=1), default=None)
-@click.option(
-    "--parallel",
-    "workers",
-    type=click.IntRange(min=1),
-    default=1,
-    show_default=True,
-    help="Independent attempts with derived seeds; lowest successful "
-    "attempt index wins.",
-)
-@click.option("--stats", "want_stats", is_flag=True, help="Emit run stats as JSON.")
-@click.option("--pretty", is_flag=True, help="Visually separate blocks.")
-@click.option(
-    "--format", "fmt", type=click.Choice(["text", "json"]), default="text"
-)
-@_guarded
-def gen_sudoku_cmd(
-    n,
-    seed,
-    algorithm,
-    policy_mode,
-    max_restarts,
-    max_iterations,
-    workers,
-    want_stats,
-    pretty,
-    fmt,
-):
+def gen_sudoku_cmd(args):
     """Generate one random n^2 x n^2 Sudoku matrix.
 
     The layered algorithm draws layer 1 from a random pi matrix, picks
     each later layer uniformly among the layers that fit the stack and
     forces the last one.  Orders above 4 are refused with exit 3.
     """
-    stats_dict = None
-    if algorithm == "rejection":
+    n, seed, workers = args.n, args.seed, args.workers
+    if args.algorithm == "rejection":
         from .analysis import gen_sudoku_rejection
 
         source = RandomSource(seed)
-        cells, iterations = gen_sudoku_rejection(n, source, max_iterations)
+        cells, iterations = gen_sudoku_rejection(n, source, args.max_iterations)
         root_seed = source.seed
         stats_dict = {"iterations": iterations, "seed": root_seed}
     elif workers == 1:
+        from .sudoku import RestartPolicy, gen_sudoku
+
         source = RandomSource(seed)
-        policy = RestartPolicy(mode=policy_mode, max_restarts=max_restarts)
+        policy = RestartPolicy(mode=args.policy_mode, max_restarts=args.max_restarts)
         cells, stats = gen_sudoku(n, source, policy)
         root_seed = source.seed
         stats_dict = stats.to_dict()
     else:
         from concurrent.futures import ProcessPoolExecutor
 
+        # loaded before the pool forks, so that no worker imports it again
+        from . import sudoku  # noqa: F401
+
         root_seed = seed if seed is not None else entropy_seed()
         jobs = [
-            (n, derive_seed(root_seed, i), policy_mode, max_restarts)
+            (n, derive_seed(root_seed, i), args.policy_mode, args.max_restarts)
             for i in range(workers)
         ]
         winner = None
@@ -329,137 +201,103 @@ def gen_sudoku_cmd(
         stats_dict["root_seed"] = root_seed
 
     payload = sudoku_json(cells, root_seed)
-    if want_stats:
+    if args.want_stats:
         payload["stats"] = stats_dict
-        if fmt == "text":
+        if args.fmt == "text":
             _echo_json(stats_dict, err=True)
-    _emit(format_sudoku(cells, pretty=pretty), payload, fmt, root_seed)
+    _emit(format_sudoku(cells, pretty=args.pretty), payload, args.fmt, root_seed)
+
+
+def _is_sudoku(cells: list[list[int]]) -> bool:
+    from .sudoku import is_sudoku
+
+    return is_sudoku(cells)
 
 
 _CHECKS = {
     "perm": (parse_perm, is_permutation),
     "pi": (parse_pi, is_pi),
     "sigma": (parse_binary_matrix, is_sigma),
-    "sudoku": (parse_cells, is_sudoku),
+    "sudoku": (parse_cells, _is_sudoku),
 }
 
 
-@main.command("check")
-@click.option(
-    "--kind",
-    required=True,
-    type=click.Choice(["perm", "pi", "sigma", "sudoku"]),
-    help="Which membership check to run on stdin.",
-)
-@_guarded
-def check_cmd(kind):
+def check_cmd(args):
     """Validate a matrix read from stdin; exit 0 iff valid."""
-    parser, checker = _CHECKS[kind]
-    value = parser(_read_stdin())
+    parser, checker = _CHECKS[args.kind]
+    value = parser(sys.stdin.read())
     try:
         ok = checker(value)
         reason = None
     except ValueError as exc:
         ok = False
         reason = str(exc)
-    click.echo("valid" if ok else "invalid")
+    _echo("valid" if ok else "invalid")
     if reason:
-        click.echo(f"reason: {reason}", err=True)
+        _echo(f"reason: {reason}", err=True)
     sys.exit(0 if ok else 1)
 
 
-@main.command("enumerate")
-@click.option("--n", required=True, type=click.IntRange(min=1))
-@click.option(
-    "--list", "stream", is_flag=True, help="Stream every matrix, not just the count."
-)
-@_guarded
-def enumerate_cmd(n, stream):
+def enumerate_cmd(args):
     """Count (or stream) all Sudoku matrices of order n (n <= 2)."""
-    if stream:
+    from .sudoku import enumerate_sudoku, iter_sudoku
+
+    if args.stream:
         first = True
-        for cells in iter_sudoku(n):
+        for cells in iter_sudoku(args.n):
             if not first:
-                click.echo()
-            click.echo(format_sudoku(cells))
+                _echo()
+            _echo(format_sudoku(cells))
             first = False
     else:
-        click.echo(str(enumerate_sudoku(n)))
+        _echo(str(enumerate_sudoku(args.n)))
 
 
-@main.command("map")
-@click.option("--phi", "direction", flag_value="phi", help="pi matrix -> block matrix.")
-@click.option(
-    "--phi-inverse",
-    "direction",
-    flag_value="phi-inverse",
-    help="block matrix -> pi matrix.",
-)
-@_guarded
-def map_cmd(direction):
+def map_cmd(args):
     """Apply the block-structure bijection (or its inverse) to stdin."""
-    if direction is None:
-        raise click.UsageError("one of --phi / --phi-inverse is required")
-    if direction == "phi":
-        rows = parse_pi(_read_stdin())
-        click.echo(format_sigma(phi(rows)))
+    if args.direction is None:
+        args.parser.error("one of --phi / --phi-inverse is required")
+    if args.direction == "phi":
+        rows = parse_pi(sys.stdin.read())
+        _echo(format_sigma(phi(rows)))
     else:
-        bits = parse_binary_matrix(_read_stdin())
+        bits = parse_binary_matrix(sys.stdin.read())
         matrix = SigmaMatrix.from_rows(bits)
-        click.echo(format_pi(phi_inverse(matrix)))
+        _echo(format_pi(phi_inverse(matrix)))
 
 
-@main.command("decompose")
-@_guarded
-def decompose_cmd():
+def decompose_cmd(args):
     """Split a Sudoku matrix on stdin into its value-indicator layers."""
-    cells = parse_cells(_read_stdin())
-    click.echo(format_layers(decompose_cells(cells)))
+    from .sudoku import decompose
+
+    cells = parse_cells(sys.stdin.read())
+    _echo(format_layers(decompose(cells)))
 
 
-@main.command("compose")
-@_guarded
-def compose_cmd():
+def compose_cmd(args):
     """Rebuild a Sudoku matrix from blank-line-separated layers on stdin."""
-    blocks = parse_layers(_read_stdin())
+    from .sudoku import compose
+
+    blocks = parse_layers(sys.stdin.read())
     layers = [SigmaMatrix.from_rows(b) for b in blocks]
-    click.echo(format_sudoku(compose_layers(layers)))
+    _echo(format_sudoku(compose(layers)))
 
 
 def _fraction_text(d: dict) -> str:
     return f"{d['float']:.6g} ({d['numerator']}/{d['denominator']})"
 
 
-@main.command("estimate")
-@click.option(
-    "--generator",
-    "generator_id",
-    required=True,
-    type=click.Choice(list(GENERATOR_IDS)),
-)
-@click.option("--n", required=True, type=click.IntRange(min=1))
-@click.option(
-    "--samples",
-    type=click.IntRange(min=100),
-    default=10_000,
-    show_default=True,
-)
-@click.option("--seed", type=_SEED_RANGE, default=None)
-@click.option(
-    "--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text"
-)
-@_guarded
-def estimate_cmd(generator_id, n, samples, seed, fmt):
+def estimate_cmd(args):
     """Monte Carlo estimate of a generator's acceptance probability."""
     from .analysis import estimate_p
 
-    source = RandomSource(seed)
-    report = estimate_p(generator_id, n, samples, source)
+    source = RandomSource(args.seed)
+    report = estimate_p(args.generator_id, args.n, args.samples, source)
     data = report.to_dict()
-    if fmt == "json":
+    if args.fmt == "json":
         _echo_json(data)
         return
-    if fmt == "csv":
+    if args.fmt == "csv":
         _echo_csv(
             [
                 "generator_id",
@@ -503,51 +341,20 @@ def estimate_cmd(generator_id, n, samples, seed, fmt):
     ]
     width = max(len(k) for k, _ in rows)
     for key, value in rows:
-        click.echo(f"{key.ljust(width)}  {value}")
+        _echo(f"{key.ljust(width)}  {value}")
 
 
-def _parse_sizes(_ctx, _param, value: str) -> list[int]:
-    try:
-        sizes = [int(tok) for tok in value.split(",") if tok.strip()]
-    except ValueError:
-        raise click.BadParameter("expected comma-separated integers")
-    if not sizes or any(s < 1 for s in sizes):
-        raise click.BadParameter("sizes must be positive integers")
-    return sizes
-
-
-@main.command("bench")
-@click.option(
-    "--generator",
-    "generator_id",
-    required=True,
-    type=click.Choice(list(BENCH_IDS)),
-)
-@click.option(
-    "--sizes",
-    required=True,
-    callback=_parse_sizes,
-    help="Comma-separated orders, e.g. 64,128,256,512.",
-)
-@click.option(
-    "--repetitions", type=click.IntRange(min=1), default=30, show_default=True
-)
-@click.option("--seed", type=_SEED_RANGE, default=None)
-@click.option(
-    "--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text"
-)
-@_guarded
-def bench_cmd(generator_id, sizes, repetitions, seed, fmt):
+def bench_cmd(args):
     """Time one attempt per size; report medians and the log-log slope."""
     from .analysis import bench_tau
 
-    source = RandomSource(seed)
-    report = bench_tau(generator_id, sizes, repetitions, source)
+    source = RandomSource(args.seed)
+    report = bench_tau(args.generator_id, args.sizes, args.repetitions, source)
     data = report.to_dict()
-    if fmt == "json":
+    if args.fmt == "json":
         _echo_json(data)
         return
-    if fmt == "csv":
+    if args.fmt == "csv":
         _echo_csv(
             [
                 "generator_id",
@@ -574,22 +381,295 @@ def bench_cmd(generator_id, sizes, repetitions, seed, fmt):
             ],
         )
         return
-    click.echo(
+    _echo(
         f"generator: {data['generator_id']}   repetitions: "
         f"{data['repetitions']}   seed: {data['seed']}"
     )
-    click.echo(f"{'n':>8}  {'median_s':>12}  {'mad_s':>12}")
+    _echo(f"{'n':>8}  {'median_s':>12}  {'mad_s':>12}")
     for point in data["points"]:
-        click.echo(
-            f"{point['n']:>8}  {point['median_s']:>12.4e}  {point['mad_s']:>12.4e}"
-        )
+        _echo(f"{point['n']:>8}  {point['median_s']:>12.4e}  {point['mad_s']:>12.4e}")
     if data["slope"] is not None:
         line = f"slope: {data['slope']:.3f}"
         if data["slope_stderr"] is not None:
             lo, hi = data["slope_ci95"]
             line += f"   stderr: {data['slope_stderr']:.3f}"
             line += f"   ci95: [{lo:.3f}, {hi:.3f}]"
-        click.echo(line)
+        _echo(line)
+
+
+def _int_range(lo: int, hi: int | None = None):
+    """An argparse type: a decimal integer in lo..hi (no upper bound if None)."""
+    bounds = f"x>={lo}" if hi is None else f"{lo}<=x<={hi}"
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse turns a ValueError into a usage error
+        if value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {bounds}")
+        return value
+
+    return integer
+
+
+def _sizes(value: str) -> list[int]:
+    try:
+        sizes = [int(tok) for tok in value.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected comma-separated integers")
+    if not sizes or any(s < 1 for s in sizes):
+        raise argparse.ArgumentTypeError("sizes must be positive integers")
+    return sizes
+
+
+_POSITIVE = _int_range(1)
+_SEED = _int_range(0, 2**64 - 1)
+
+
+# appended to the help of the options whose default the help shows
+_DEFAULT = "[default: %(default)s]"
+
+
+def _algorithm(choices: list[str], text: str | None = None):
+    help = f"{text} {_DEFAULT}" if text else _DEFAULT
+    return "--algorithm", dict(choices=choices, default=choices[0], help=help)
+
+
+def _format(*choices: str):
+    return "--format", dict(dest="fmt", choices=choices, default="text")
+
+
+_N = "--n", dict(required=True, type=_POSITIVE)
+_SEED_OPTION = "--seed", dict(type=_SEED, default=None)
+_MAX_ITERATIONS = "--max-iterations", dict(type=_POSITIVE, default=None)
+_TEXT_OR_JSON = _format("text", "json")
+_DIRECT_OR_REJECTION = ["direct", "rejection"]
+
+# Each command: its function, whose docstring is its help, and its options
+# as (name, add_argument keywords) pairs.
+_COMMANDS = {
+    "gen-perm": (
+        gen_perm_cmd,
+        [
+            ("--n", dict(_N[1], help="Order.")),
+            ("--seed", dict(_SEED_OPTION[1], help="RNG seed.")),
+            _algorithm(_DIRECT_OR_REJECTION),
+            (
+                "--variant",
+                dict(
+                    choices=["shift", "swap"],
+                    default="shift",
+                    help="Deletion strategy of the direct algorithm. " + _DEFAULT,
+                ),
+            ),
+            _MAX_ITERATIONS,
+            _TEXT_OR_JSON,
+        ],
+    ),
+    "gen-pi": (
+        gen_pi_cmd,
+        [_N, _SEED_OPTION, _algorithm(_DIRECT_OR_REJECTION), _MAX_ITERATIONS, _TEXT_OR_JSON],
+    ),
+    "gen-sigma": (
+        gen_sigma_cmd,
+        [
+            _N,
+            _SEED_OPTION,
+            _algorithm(
+                _DIRECT_OR_REJECTION,
+                "direct = map a random pi matrix through the block bijection; "
+                "rejection = draw raw bits until they form a valid matrix (n <= 2).",
+            ),
+            _MAX_ITERATIONS,
+            _TEXT_OR_JSON,
+        ],
+    ),
+    "gen-sudoku": (
+        gen_sudoku_cmd,
+        [
+            _N,
+            _SEED_OPTION,
+            _algorithm(
+                ["layered", "rejection"],
+                "layered = stack disjoint random layers (n <= 4); rejection = "
+                "draw a complete layer tuple per attempt (n <= 2).",
+            ),
+            (
+                "--policy",
+                dict(
+                    dest="policy_mode",
+                    choices=["restart", "backtrack"],
+                    default="restart",
+                    help="When no layer fits the stack: discard the whole stack, or drop "
+                    "its last layer and never pick that layer there again. " + _DEFAULT,
+                ),
+            ),
+            (
+                "--max-restarts",
+                dict(
+                    type=_int_range(0),
+                    default=None,
+                    help="Full restarts allowed before giving up with exit 3 "
+                    "[default: no limit].",
+                ),
+            ),
+            _MAX_ITERATIONS,
+            (
+                "--parallel",
+                dict(
+                    dest="workers",
+                    type=_POSITIVE,
+                    default=1,
+                    help="Independent attempts with derived seeds; lowest successful "
+                    "attempt index wins. " + _DEFAULT,
+                ),
+            ),
+            ("--stats", dict(dest="want_stats", action="store_true", help="Emit run stats as JSON.")),
+            ("--pretty", dict(action="store_true", help="Visually separate blocks.")),
+            _TEXT_OR_JSON,
+        ],
+    ),
+    "check": (
+        check_cmd,
+        [
+            (
+                "--kind",
+                dict(
+                    required=True,
+                    choices=list(_CHECKS),
+                    help="Which membership check to run on stdin.",
+                ),
+            ),
+        ],
+    ),
+    "enumerate": (
+        enumerate_cmd,
+        [
+            _N,
+            (
+                "--list",
+                dict(
+                    dest="stream",
+                    action="store_true",
+                    help="Stream every matrix, not just the count.",
+                ),
+            ),
+        ],
+    ),
+    # Both flags set one value; the last one given wins.
+    "map": (
+        map_cmd,
+        [
+            (
+                "--phi",
+                dict(dest="direction", action="store_const", const="phi",
+                     help="pi matrix -> block matrix."),
+            ),
+            (
+                "--phi-inverse",
+                dict(dest="direction", action="store_const", const="phi-inverse",
+                     help="block matrix -> pi matrix."),
+            ),
+        ],
+    ),
+    "decompose": (decompose_cmd, []),
+    "compose": (compose_cmd, []),
+    "estimate": (
+        estimate_cmd,
+        [
+            ("--generator", dict(dest="generator_id", required=True, choices=GENERATOR_IDS)),
+            _N,
+            ("--samples", dict(type=_int_range(100), default=10_000, help=_DEFAULT)),
+            _SEED_OPTION,
+            _format("text", "json", "csv"),
+        ],
+    ),
+    "bench": (
+        bench_cmd,
+        [
+            ("--generator", dict(dest="generator_id", required=True, choices=BENCH_IDS)),
+            (
+                "--sizes",
+                dict(
+                    required=True,
+                    type=_sizes,
+                    help="Comma-separated orders, e.g. 64,128,256,512.",
+                ),
+            ),
+            ("--repetitions", dict(type=_POSITIVE, default=30, help=_DEFAULT)),
+            _SEED_OPTION,
+            _format("text", "json", "csv"),
+        ],
+    ),
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the command named ``only`` alone.
+
+    Every parser has --help but no -h, and option names cannot be
+    abbreviated.
+    """
+    parser = argparse.ArgumentParser(
+        prog="sudogen",
+        description="Random permutations, pi matrices, block permutation "
+        "matrices, and Sudoku matrices, with acceptance-rate and timing analysis.",
+        add_help=False,
+        allow_abbrev=False,
+    )
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    for name, (fn, options) in _COMMANDS.items():
+        if only not in (None, name):
+            continue
+        sub = commands.add_parser(
+            name,
+            help=fn.__doc__.split("\n", 1)[0],
+            description=fn.__doc__,
+            add_help=False,
+            allow_abbrev=False,
+        )
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        for option, keywords in options:
+            sub.add_argument(option, **keywords)
+        sub.set_defaults(run=fn, parser=sub)
+    return parser
+
+
+def _fail(exc: Exception, code: int):
+    _echo(f"error: {exc}", err=True)
+    sys.exit(code)
+
+
+def main(argv: list[str] | None = None):
+    """Run one command; always ends in SystemExit with the exit code.
+
+    ``argv`` defaults to ``sys.argv[1:]``.  Usage errors exit 2.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Building every command's options costs a few ms per process, so a
+    # command line that names a command gets that command's parser alone.
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    args, extra = _build_parser(only).parse_known_args(argv)
+    if extra:
+        # reported with the command's usage line, not the top-level one
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    try:
+        args.run(args)
+    except MatrixParseError as exc:
+        _fail(exc, 2)
+    except (InfeasibleError, BudgetExhaustedError, UnknownSigmaError) as exc:
+        _fail(exc, 3)
+    except (CompositionError, ValueError) as exc:
+        _fail(exc, 1)
+    except BrokenPipeError:
+        # The reader of stdout went away: exit 1 with nothing on stderr.
+        # What is still buffered goes to /dev/null, so the flush at exit
+        # does not fail again and print a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except KeyboardInterrupt:
+        _echo("\nAborted!", err=True)
+        sys.exit(1)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

@@ -16,19 +16,46 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .perm import _is_perm_trusted
 from .pi import check_pi, enumerate_pi
 
 
-@dataclass(frozen=True)
 class SigmaMatrix:
-    """Validated block permutation matrix in packed-bitset form."""
+    """Validated block permutation matrix in packed-bitset form.
 
-    n: int
-    mask: int
+    Immutable; two matrices are equal, and hash alike, iff their order
+    and mask are.  A plain slotted class rather than a dataclass, so
+    that importing it does not load :mod:`dataclasses`.
+    """
+
+    __slots__ = ("n", "mask")
+
+    def __init__(self, n: int, mask: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.mask == other.mask
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mask))
+
+    def __repr__(self) -> str:
+        return f"SigmaMatrix(n={self.n!r}, mask={self.mask!r})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which frozen slots need
+        return SigmaMatrix, (self.n, self.mask)
 
     @property
     def side(self) -> int:

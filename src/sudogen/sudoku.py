@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .errors import BudgetExhaustedError, CompositionError, InfeasibleError
@@ -177,7 +176,6 @@ class DisjointStack:
         self.mask = 0
 
 
-@dataclass(frozen=True)
 class RestartPolicy:
     """Dead-end handling for the layered generator.
 
@@ -186,51 +184,103 @@ class RestartPolicy:
     layer is dropped, and is no longer picked for the stack below it
     (mode "backtrack").  ``max_restarts`` bounds full restarts; when
     exceeded the generator raises BudgetExhaustedError with partial stats
-    attached.
+    attached.  Immutable and hashable, like :class:`SigmaMatrix`.
     """
 
-    mode: str = "restart"
-    max_restarts: int | None = None
+    __slots__ = ("mode", "max_restarts")
 
-    def __post_init__(self):
-        if self.mode not in ("restart", "backtrack"):
-            raise ValueError(f"unknown policy mode {self.mode!r}")
+    def __init__(self, mode: str = "restart", max_restarts: int | None = None):
+        if mode not in ("restart", "backtrack"):
+            raise ValueError(f"unknown policy mode {mode!r}")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "max_restarts", max_restarts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.mode, self.max_restarts) == (other.mode, other.max_restarts)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.mode, self.max_restarts))
+
+    def __repr__(self) -> str:
+        return f"RestartPolicy(mode={self.mode!r}, max_restarts={self.max_restarts!r})"
+
+    def __reduce__(self):
+        return RestartPolicy, (self.mode, self.max_restarts)
 
 
-@dataclass
 class GenStats:
     """Versioned per-run statistics of the layered generator.
 
     ``exact_layers`` counts the layers picked among the layers that fit
     (layers 2 .. n^2 - 1), as opposed to layer 1 and the forced last one.
     Every picked layer fits, so ``candidates`` counts accepted layers,
-    including those of abandoned stacks.
+    including those of abandoned stacks.  Mutable, compared field by
+    field, and unhashable.
     """
 
-    n: int
-    seed: int | None
-    restarts: int = 0
-    backtracks: int = 0
-    candidates: int = 0
-    exact_layers: int = 0
-    wall_time_s: float = 0.0
-    gen_time_s: float = 0.0
-    check_time_s: float = 0.0
-    schema_version: int = STATS_SCHEMA_VERSION
+    __slots__ = (
+        "n",
+        "seed",
+        "restarts",
+        "backtracks",
+        "candidates",
+        "exact_layers",
+        "wall_time_s",
+        "gen_time_s",
+        "check_time_s",
+        "schema_version",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        seed: int | None,
+        restarts: int = 0,
+        backtracks: int = 0,
+        candidates: int = 0,
+        exact_layers: int = 0,
+        wall_time_s: float = 0.0,
+        gen_time_s: float = 0.0,
+        check_time_s: float = 0.0,
+        schema_version: int = STATS_SCHEMA_VERSION,
+    ):
+        self.n = n
+        self.seed = seed
+        self.restarts = restarts
+        self.backtracks = backtracks
+        self.candidates = candidates
+        self.exact_layers = exact_layers
+        self.wall_time_s = wall_time_s
+        self.gen_time_s = gen_time_s
+        self.check_time_s = check_time_s
+        self.schema_version = schema_version
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"GenStats({fields})"
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "n": self.n,
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "backtracks": self.backtracks,
-            "candidates": self.candidates,
-            "exact_layers": self.exact_layers,
-            "wall_time_s": self.wall_time_s,
-            "gen_time_s": self.gen_time_s,
-            "check_time_s": self.check_time_s,
-        }
+        # schema_version first, then the other fields in order
+        rest = {name: getattr(self, name) for name in self.__slots__[:-1]}
+        return {"schema_version": self.schema_version, **rest}
 
 
 @functools.cache
@@ -293,24 +343,22 @@ def _listed_layers(n: int, free: int) -> tuple[int, ...] | None:
     return None if fits is None else tuple(fits)
 
 
-def _count_layers(n: int, free: int) -> tuple[int, Callable[[int], int]]:
-    """Count the sigma layers inside the ``free`` cells, and rank them.
+@functools.cache
+def _layer_counter(n: int) -> Callable[[int, int, list[dict[int, int]]], int]:
+    """``count(b, avail, memo)``: the ways to finish a layer from block b on.
 
-    Walks the blocks and cells in the order of ``_fitting_layers``,
-    memoising the number of ways to finish a layer from block b on.  That
-    number depends only on the open cells of blocks b and later, which the
-    band rows and the columns used so far fix.  Returns the count and
-    ``unrank``, which maps r in 1..count to the r-th layer of the walk, so
-    ``unrank(r) == _fitting_layers(n, free, count)[r - 1]``.
+    Built once per order.  The memo is an argument, not a variable of the
+    closure: ``count`` refers to itself, so anything its closure held would
+    sit in a reference cycle and outlive its count table until the cyclic
+    garbage collector ran.
     """
     blocks, keep = _layer_tables(n)
     last = len(blocks) - 1
     rest = list(blocks)  # rest[b]: the cells of blocks b and later
     for b in range(last - 1, -1, -1):
         rest[b] |= rest[b + 1]
-    memo: list[dict[int, int]] = [{} for _ in blocks]
 
-    def count(b: int, avail: int) -> int:
+    def count(b: int, avail: int, memo: list[dict[int, int]]) -> int:
         if b == last:
             return (avail & blocks[last]).bit_count()
         avail &= rest[b]
@@ -330,9 +378,28 @@ def _count_layers(n: int, free: int) -> tuple[int, Callable[[int], int]]:
             while cells:
                 low = cells & -cells
                 cells ^= low
-                total += count(b + 1, avail & keep[low.bit_length() - 1])
+                total += count(b + 1, avail & keep[low.bit_length() - 1], memo)
         memo[b][avail] = total
         return total
+
+    return count
+
+
+def _count_layers(n: int, free: int) -> tuple[int, Callable[[int], int]]:
+    """Count the sigma layers inside the ``free`` cells, and rank them.
+
+    Walks the blocks and cells in the order of ``_fitting_layers``,
+    memoising the number of ways to finish a layer from block b on.  That
+    number depends only on the open cells of blocks b and later, which the
+    band rows and the columns used so far fix.  Returns the count and
+    ``unrank``, which maps r in 1..count to the r-th layer of the walk, so
+    ``unrank(r) == _fitting_layers(n, free, count)[r - 1]``.  The memo
+    lives as long as ``unrank`` and is freed with it.
+    """
+    blocks, keep = _layer_tables(n)
+    last = len(blocks) - 1
+    count = _layer_counter(n)
+    memo: list[dict[int, int]] = [{} for _ in blocks]
 
     def unrank(r: int) -> int:
         avail, layer = free, 0
@@ -342,7 +409,7 @@ def _count_layers(n: int, free: int) -> tuple[int, Callable[[int], int]]:
                 low = cells & -cells
                 cells ^= low
                 after = avail & keep[low.bit_length() - 1]
-                ways = 1 if b == last else count(b + 1, after)
+                ways = 1 if b == last else count(b + 1, after, memo)
                 if r <= ways:
                     break
                 r -= ways
@@ -350,7 +417,7 @@ def _count_layers(n: int, free: int) -> tuple[int, Callable[[int], int]]:
             avail = after
         return layer
 
-    return count(0, free), unrank
+    return count(0, free, memo), unrank
 
 
 def gen_sudoku(

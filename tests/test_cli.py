@@ -3,9 +3,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
 from sudogen import (
     SigmaMatrix,
@@ -27,11 +31,28 @@ from sudogen.cli import main
 
 EXAMPLE = [[1, 2, 3, 4], [3, 4, 1, 2], [2, 1, 4, 3], [4, 3, 2, 1]]
 
-runner = CliRunner()
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
 
 
 def run(*args, input=None):
-    return runner.invoke(main, list(args), input=input)
+    """Run ``main(args)`` in-process with stdin fed and stdout/stderr captured."""
+    saved = sys.stdin, sys.stdout, sys.stderr
+    stdout, stderr = io.StringIO(), io.StringIO()
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(input or ""), stdout, stderr
+    try:
+        main(list(args))
+        code = 0
+    except SystemExit as exc:
+        code = 0 if exc.code is None else exc.code
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    return Result(code, stdout.getvalue(), stderr.getvalue())
 
 
 def ok(*args, input=None):
@@ -458,3 +479,80 @@ class TestPipelinesViaShell:
     def test_pretty_output_feeds_check(self):
         grid = ok("gen-sudoku", "--n", "2", "--seed", "2", "--pretty").stdout
         assert run("check", "--kind", "sudoku", input=grid).exit_code == 0
+
+
+class TestEntryPoint:
+    def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
+        # the console script calls main() with no arguments
+        monkeypatch.setattr(sys, "argv", ["sudogen", "enumerate", "--n", "1"])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == "1\n"
+
+    def test_no_command_is_a_usage_error(self):
+        result = run()
+        assert result.exit_code == 2
+        assert "error: the following arguments are required: COMMAND" in result.stderr
+
+    def test_usage_error_names_the_problem(self):
+        result = run("map", input="1\n")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: sudogen map")
+        assert "error: one of --phi / --phi-inverse is required" in result.stderr
+
+    def test_extra_arguments_show_the_command_usage(self):
+        result = run("decompose", "x", input=format_sudoku(EXAMPLE))
+        assert result.exit_code == 2
+        assert result.stderr.startswith("usage: sudogen decompose")
+        assert "error: unrecognized arguments: x" in result.stderr
+
+    def test_both_map_directions_take_the_last(self):
+        rows = [[1, 2], [1, 2], [2, 1], [2, 1]]
+        result = ok("map", "--phi-inverse", "--phi", input=format_pi(rows))
+        assert result.stdout.strip() == format_sigma(phi(rows))
+
+    def test_seed_range(self):
+        top = str(2**64 - 1)
+        assert run("gen-perm", "--n", "3", "--seed", top).exit_code == 0
+        assert run("gen-perm", "--n", "3", "--seed", str(2**64)).exit_code == 2
+
+    def test_option_names_are_not_abbreviated(self):
+        assert run("gen-sudoku", "--n", "2", "--max-r", "1").exit_code == 2
+        assert run("gen-perm", "-h").exit_code == 2
+
+    def test_help(self):
+        result = run("gen-sudoku", "--help")
+        assert result.exit_code == 0
+        assert "--max-restarts" in result.stdout
+        assert "[default: restart]" in result.stdout
+        listing = run("--help")
+        assert listing.exit_code == 0
+        for name in ("gen-perm", "gen-sudoku", "map", "decompose", "bench"):
+            assert f"\n    {name}" in listing.stdout
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # The reader of a streaming command goes away after one line.  The
+    # pipe is shrunk below the 10 kB the command prints, so the command is
+    # still writing when the reader closes.
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe size cannot be set on this platform")
+    read_fd, write_fd = os.pipe()
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sudogen.cli", "enumerate", "--n", "2", "--list"],
+        stdout=write_fd,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as reader:
+        assert reader.readline() == b"1 2 3 4\n"
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in stderr
+    assert stderr == b""

@@ -24,6 +24,9 @@ HEAVY = [
     "secrets",
     "csv",
 ]
+# What no CLI child loads: click, a parser the CLI does not use, and the
+# dataclasses module, which would bring inspect, ast, dis and tokenize.
+PARSER_AND_DATACLASSES = ["click", "dataclasses", "inspect"]
 
 
 # Prepended to each probe: list sys.modules on stderr when the child exits.
@@ -80,6 +83,27 @@ class TestImportDiet:
         loaded = loaded_modules(RUN_CLI, *command.split(), stdin=TEXT_INPUTS[command])
         assert "sudogen.formats" in loaded
         assert "json" not in loaded
+
+    @pytest.mark.parametrize("command", list(TEXT_INPUTS))
+    def test_text_commands_load_no_click_or_dataclasses(self, command):
+        loaded = loaded_modules(RUN_CLI, *command.split(), stdin=TEXT_INPUTS[command])
+        assert sorted(loaded & set(PARSER_AND_DATACLASSES)) == []
+
+    def test_gen_sudoku_loads_no_click_or_dataclasses(self):
+        loaded = loaded_modules(RUN_CLI, "gen-sudoku", "--n", "2", "--seed", "1")
+        assert "sudogen.sudoku" in loaded
+        assert sorted(loaded & set(PARSER_AND_DATACLASSES)) == []
+
+    def test_parallel_loads_the_sudoku_module_before_the_pool_forks(self):
+        # so the forked workers inherit it instead of each importing it
+        args = ["gen-sudoku", "--n", "2", "--seed", "1", "--parallel", "2"]
+        assert "sudogen.sudoku" in loaded_modules(RUN_CLI, *args)
+
+    @pytest.mark.parametrize("command", ["map --phi", "map --phi-inverse"])
+    def test_map_does_not_load_the_sudoku_module(self, command):
+        loaded = loaded_modules(RUN_CLI, *command.split(), stdin=TEXT_INPUTS[command])
+        assert "sudogen.sigma" in loaded
+        assert "sudogen.sudoku" not in loaded
 
     def test_json_format_still_loads_json(self):
         args = ["gen-perm", "--n", "3", "--seed", "1", "--format", "json"]

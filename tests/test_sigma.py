@@ -1,5 +1,7 @@
 """Block permutation matrices: bijection, membership, disjointness."""
 
+import copy
+import pickle
 from itertools import permutations
 
 import pytest
@@ -56,6 +58,29 @@ class TestSigmaMatrixType:
     def test_ones_sorted_by_row(self):
         m = SigmaMatrix.from_ones(2, [(4, 2), (1, 1), (3, 3), (2, 4)])
         assert m.ones() == [(1, 1), (2, 4), (3, 3), (4, 2)]
+
+    def test_value_semantics(self):
+        a, b, c = SigmaMatrix(2, 5), SigmaMatrix(2, 5), SigmaMatrix(2, 6)
+        assert a == b and hash(a) == hash(b)
+        assert a != c and SigmaMatrix(3, 5) != a
+        assert len({a, b, c}) == 2
+        assert a != (2, 5)  # not a tuple
+        assert repr(a) == "SigmaMatrix(n=2, mask=5)"
+
+    def test_immutable(self):
+        m = SigmaMatrix(2, 5)
+        with pytest.raises(AttributeError):
+            m.mask = 6
+        with pytest.raises(AttributeError):
+            del m.n
+        with pytest.raises(AttributeError):
+            m.extra = 1
+        assert m == SigmaMatrix(2, 5)
+
+    def test_pickle_and_copy(self):
+        m = phi([[1, 2], [2, 1], [1, 2], [2, 1]])
+        for clone in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert clone == m and type(clone) is SigmaMatrix
 
 
 class TestPhi:

@@ -1,7 +1,11 @@
 """Sudoku matrices: validity, layer calculus, generators, enumeration."""
 
+import copy
+import gc
 import math
+import pickle
 import time
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -15,6 +19,7 @@ from sudogen import (
     BudgetExhaustedError,
     CompositionError,
     DisjointStack,
+    GenStats,
     InfeasibleError,
     RandomSource,
     RestartPolicy,
@@ -356,10 +361,79 @@ class TestFittingLayers:
             assert is_sigma(SigmaMatrix(4, unrank(r)).to_rows())
 
 
+    def test_dropped_count_table_needs_no_cycle_collector(self):
+        # A count table's memo is freed by reference counting as soon as
+        # the table is dropped, so restart runs do not pile up memos.
+        free = ((1 << 81) - 1) ^ sudoku_mod.decompose(gen_sudoku(3, RandomSource(0))[0])[0].mask
+        _count_layers(3, free)  # the per-order tables exist from here on
+        gc.collect()
+        gc.disable()
+        try:
+            total, unrank = _count_layers(3, free)
+            assert total > 0 and unrank(total)
+            ref = weakref.ref(unrank)
+            del unrank
+            assert ref() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestRestartPolicy:
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             RestartPolicy(mode="panic")
+        with pytest.raises(ValueError):
+            RestartPolicy("panic", 3)
+
+    def test_value_semantics(self):
+        assert RestartPolicy() == RestartPolicy("restart", None)
+        assert RestartPolicy(mode="backtrack") != RestartPolicy()
+        assert hash(RestartPolicy(max_restarts=2)) == hash(RestartPolicy("restart", 2))
+        assert RestartPolicy() != ("restart", None)
+        assert repr(RestartPolicy("backtrack", 2)) == (
+            "RestartPolicy(mode='backtrack', max_restarts=2)"
+        )
+
+    def test_immutable(self):
+        policy = RestartPolicy()
+        with pytest.raises(AttributeError):
+            policy.mode = "backtrack"
+        with pytest.raises(AttributeError):
+            del policy.max_restarts
+        assert policy.mode == "restart"
+
+    def test_pickle_and_copy(self):
+        policy = RestartPolicy("backtrack", 4)
+        for clone in (pickle.loads(pickle.dumps(policy)), copy.deepcopy(policy)):
+            assert clone == policy
+
+
+class TestGenStats:
+    def test_defaults_and_repr(self):
+        stats = GenStats(2, 7)
+        assert stats.restarts == stats.candidates == 0
+        assert stats.schema_version == 3
+        assert repr(stats) == (
+            "GenStats(n=2, seed=7, restarts=0, backtracks=0, candidates=0, "
+            "exact_layers=0, wall_time_s=0.0, gen_time_s=0.0, check_time_s=0.0, "
+            "schema_version=3)"
+        )
+
+    def test_mutable_compared_by_value_and_unhashable(self):
+        a, b = GenStats(2, 7), GenStats(n=2, seed=7)
+        assert a == b
+        b.restarts += 1
+        assert a != b
+        assert a != a.to_dict()
+        with pytest.raises(TypeError):
+            hash(a)
+        with pytest.raises(AttributeError):
+            a.extra = 1
+
+    def test_pickle_round_trip(self):
+        _, stats = gen_sudoku(2, RandomSource(3))
+        assert pickle.loads(pickle.dumps(stats)) == stats
 
 
 class TestLayeredGenerator:
