@@ -91,70 +91,7 @@ _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BENCH_IDS",
-    "GENERATOR_IDS",
-    "SIGMA_COUNTS",
-    "BenchPoint",
-    "BenchReport",
-    "BudgetExhaustedError",
-    "CompositionError",
-    "DisjointStack",
-    "EvalReport",
-    "GenStats",
-    "InfeasibleError",
-    "MatrixParseError",
-    "RandomSource",
-    "RestartPolicy",
-    "SigmaMatrix",
-    "SudogenError",
-    "UnknownSigmaError",
-    "bench_tau",
-    "check_pi",
-    "chi_square_uniform",
-    "closed_form_p",
-    "compose",
-    "decompose",
-    "derive_seed",
-    "entropy_seed",
-    "enumerate_pi",
-    "enumerate_sigma",
-    "enumerate_sudoku",
-    "estimate_p",
-    "format_layers",
-    "format_perm",
-    "format_pi",
-    "format_sigma",
-    "format_sudoku",
-    "gen_perm_direct",
-    "gen_perm_rejection",
-    "gen_pi_direct",
-    "gen_pi_rejection",
-    "gen_sigma_rejection",
-    "gen_sudoku",
-    "gen_sudoku_rejection",
-    "is_permutation",
-    "is_pi",
-    "is_sigma",
-    "is_sudoku",
-    "iter_sudoku",
-    "parse_binary_matrix",
-    "parse_cells",
-    "parse_layers",
-    "parse_perm",
-    "parse_pi",
-    "perm_json",
-    "phi",
-    "phi_inverse",
-    "pi_disjoint",
-    "pi_json",
-    "pi_order",
-    "sigma_disjoint",
-    "sigma_json",
-    "sudoku_json",
-    "sudoku_order",
-    "__version__",
-]
+__all__ = [*_ORIGIN, "__version__"]
 
 
 def __getattr__(name: str):

@@ -156,6 +156,19 @@ def gen_sudoku_cmd(args):
     forces the last one.  Orders above 4 are refused with exit 3.
     """
     n, seed, workers = args.n, args.seed, args.workers
+    # an option the chosen algorithm does not read is a usage error, not
+    # silently dropped
+    if args.algorithm == "rejection":
+        unread = {
+            "--policy": args.policy_mode != "restart",
+            "--max-restarts": args.max_restarts is not None,
+            "--parallel": workers != 1,
+        }
+    else:
+        unread = {"--max-iterations": args.max_iterations is not None}
+    for option, given in unread.items():
+        if given:
+            args.parser.error(f"{option} does not apply to --algorithm {args.algorithm}")
     if args.algorithm == "rejection":
         from .analysis import gen_sudoku_rejection
 

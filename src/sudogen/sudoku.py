@@ -5,13 +5,13 @@ permutation layers, layer k marking the cells that hold value k; and
 conversely any pairwise-disjoint full set of layers composes to a valid
 Sudoku matrix.  The main generator builds the stack layer by layer: layer
 1 is the image of a random pi matrix, every later layer is picked
-uniformly among the layers that fit (listed when few fit, counted and
-unranked otherwise), and a stack that no layer fits is restarted or
-backtracked; the last layer is forced, since the cells left uncovered by
-n^2 - 1 disjoint layers always form one.  It runs up to order 4 and
-refuses larger orders.  The blind-rejection variant, which draws a
-complete layer tuple per attempt and keeps it only if already disjoint,
-is ``gen_sudoku_rejection`` in :mod:`sudogen.analysis`.
+uniformly among the layers that fit (counted, and the draw unranked to a
+layer), and a stack that no layer fits is restarted or backtracked; the
+last layer is forced, since the cells left uncovered by n^2 - 1 disjoint
+layers always form one.  It runs up to order 4 and refuses larger
+orders.  The blind-rejection variant, which draws a complete layer tuple
+per attempt and keeps it only if already disjoint, is
+``gen_sudoku_rejection`` in :mod:`sudogen.analysis`.
 
 Exact counts by order: 1 matrix at n = 1, 288 at n = 2, and
 6 670 903 752 021 072 936 960 at n = 3 (embedded constant, far beyond
@@ -37,9 +37,9 @@ STATS_SCHEMA_VERSION = 3
 
 # Highest order the layered generator accepts (see gen_sudoku).
 MAX_LAYERED_ORDER = 4
-# The layered generator lists the layers that fit a stack when at most this
-# many do, and counts them otherwise: for the at most 7 layers that fit an
-# order-2 stack, listing is cheaper than counting and unranking.
+# The layered generator keeps the layers that fit a stack as a listing,
+# memoised across calls, when at most this many do: every deep order-2 stack
+# qualifies (at most 7 layers fit one), and a lookup is cheaper than a count.
 _LIST_CAP = 8
 
 SIGMA_COUNTS = {
@@ -301,48 +301,6 @@ def _layer_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return blocks, keep
 
 
-def _fitting_layers(n: int, free: int, cap: int) -> list[int] | None:
-    """Masks of every sigma layer inside the ``free`` cells, or None.
-
-    A backtracker walks the n^2 blocks in row-major order, taking in each
-    block one free cell whose row and column no earlier choice holds.
-    The order of the list is fixed by ``free``.  Once more than ``cap``
-    layers are found it stops and returns None, so it never holds more
-    than ``cap + 1`` masks.
-    """
-    blocks, keep = _layer_tables(n)
-    last = len(blocks) - 1
-    found: list[int] = []
-
-    def walk(b: int, avail: int, acc: int) -> bool:
-        cells = avail & blocks[b]
-        while cells:
-            low = cells & -cells
-            cells ^= low
-            if b == last:
-                found.append(acc | low)
-                if len(found) > cap:
-                    return False
-            elif not walk(b + 1, avail & keep[low.bit_length() - 1], acc | low):
-                return False
-        return True
-
-    return found if walk(0, free, 0) else None
-
-
-@functools.lru_cache(maxsize=4096)
-def _listed_layers(n: int, free: int) -> tuple[int, ...] | None:
-    """``_fitting_layers(n, free, _LIST_CAP)`` as a tuple, memoised.
-
-    A listing depends only on (n, free), and at order 2 only 64 free
-    masks ever reach it, so repeated calls look their listing up instead
-    of walking again.  The memo is bounded, since at order 3 under 1% of
-    listings repeat; each entry holds at most ``_LIST_CAP`` masks.
-    """
-    fits = _fitting_layers(n, free, _LIST_CAP)
-    return None if fits is None else tuple(fits)
-
-
 @functools.cache
 def _layer_counter(n: int) -> Callable[[int, int, list[dict[int, int]]], int]:
     """``count(b, avail, memo)``: the ways to finish a layer from block b on.
@@ -388,13 +346,14 @@ def _layer_counter(n: int) -> Callable[[int, int, list[dict[int, int]]], int]:
 def _count_layers(n: int, free: int) -> tuple[int, Callable[[int], int]]:
     """Count the sigma layers inside the ``free`` cells, and rank them.
 
-    Walks the blocks and cells in the order of ``_fitting_layers``,
-    memoising the number of ways to finish a layer from block b on.  That
-    number depends only on the open cells of blocks b and later, which the
-    band rows and the columns used so far fix.  Returns the count and
-    ``unrank``, which maps r in 1..count to the r-th layer of the walk, so
-    ``unrank(r) == _fitting_layers(n, free, count)[r - 1]``.  The memo
-    lives as long as ``unrank`` and is freed with it.
+    A layer takes one cell in each block, and no two of its cells share a
+    row or a column.  The walk visits the n^2 blocks in row-major order and
+    each block's open cells in ascending index, so the layers come ranked
+    by their cells' indices, block by block, compared lexicographically.
+    It memoises the number of ways to finish a layer from block b on, which
+    depends only on the open cells of blocks b and later.  Returns the
+    count and ``unrank``, which maps r in 1..count to the layer of rank r.
+    The memo lives as long as ``unrank`` and is freed with it.
     """
     blocks, keep = _layer_tables(n)
     last = len(blocks) - 1
@@ -420,6 +379,34 @@ def _count_layers(n: int, free: int) -> tuple[int, Callable[[int], int]]:
     return count(0, free, memo), unrank
 
 
+# Listings of the layers that fit, keyed by (n, free), for the stacks that
+# at most _LIST_CAP layers fit.  Only 64 free masks of order 2 are ever
+# listed, so nearly every order-2 pick is a lookup; under 1% of order-3
+# listings repeat.  The memo is emptied when it reaches _LISTED_MAX
+# entries: masks that recur come back after a run of one-off ones, where a
+# memo that stopped adding once full would shut them out for good.
+_listed: dict[tuple[int, int], tuple[int, ...]] = {}
+_LISTED_MAX = 4096
+
+
+def _pick_table(n: int, free: int) -> tuple[int, Callable[[int], int]]:
+    """``(total, unrank)`` over the layers inside the ``free`` cells.
+
+    The count and ranks of :func:`_count_layers`.  A table of at most
+    ``_LIST_CAP`` layers is kept as the tuple of its layers in rank order
+    and looked up on later calls; a dead end is the empty tuple.
+    """
+    fits = _listed.get((n, free))
+    if fits is None:
+        total, unrank = _count_layers(n, free)
+        if total > _LIST_CAP:
+            return total, unrank
+        if len(_listed) >= _LISTED_MAX:
+            _listed.clear()
+        fits = _listed[n, free] = tuple(unrank(r) for r in range(1, total + 1))
+    return len(fits), lambda r: fits[r - 1]
+
+
 def gen_sudoku(
     n: int,
     source: RandomSource,
@@ -433,11 +420,11 @@ def gen_sudoku(
     - Layer 1 is the image of a fresh random pi matrix; every layer fits
       the empty stack.
     - Layers 2 .. n^2 - 1 take one ``uniform_int`` draw among the layers
-      that fit (an "exact" layer).  When at most 8 fit, the generator
-      lists them; past that it counts them with a memoised walk over the
-      blocks and maps the draw to the layer of that rank.  When none fit,
-      the stack is a dead end.  Listings are memoised across calls (see
-      ``_listed_layers``); counts live only as long as their stack.
+      that fit (an "exact" layer): a memoised walk over the blocks counts
+      them, and the draw is mapped to the layer of that rank.  When none
+      fit, the stack is a dead end.  When at most 8 fit, the layers are
+      kept as a listing that later calls look up (see ``_pick_table``);
+      larger counts live only as long as their stack.
     - The last layer is forced: the cells n^2 - 1 disjoint layers leave
       uncovered hold one cell per row, column and block, so their mask is
       the only layer that fits.  It draws nothing.
@@ -511,12 +498,7 @@ def gen_sudoku(
         else:
             table = tables[k]
             if table is None:
-                free = full ^ stack.mask
-                fits = _listed_layers(n, free)
-                if fits is None:
-                    table = _count_layers(n, free)
-                else:
-                    table = len(fits), lambda r, fits=fits: fits[r - 1]
+                table = _pick_table(n, full ^ stack.mask)
                 if backtracking:
                     tables[k] = table
             total, unrank = table

@@ -229,6 +229,34 @@ class TestGenSudoku:
     def test_restart_budget_option_is_gone(self):
         assert run("gen-sudoku", "--n", "2", "--restart-budget", "1").exit_code == 2
 
+    @pytest.mark.parametrize(
+        "algorithm,option,value",
+        [
+            ("rejection", "--parallel", "3"),
+            ("rejection", "--policy", "backtrack"),
+            ("rejection", "--max-restarts", "0"),
+            ("layered", "--max-iterations", "1"),
+        ],
+    )
+    def test_option_the_algorithm_does_not_read_is_a_usage_error(self, algorithm, option, value):
+        result = run(
+            "gen-sudoku", "--n", "2", "--seed", "1", "--algorithm", algorithm, option, value
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: sudogen gen-sudoku")
+        assert f"error: {option} does not apply to --algorithm {algorithm}" in result.stderr
+
+    def test_unread_options_at_their_defaults_are_accepted(self):
+        plain = ok("gen-sudoku", "--n", "2", "--seed", "1", "--algorithm", "rejection")
+        spelled = ok(
+            "gen-sudoku", "--n", "2", "--seed", "1", "--algorithm", "rejection",
+            "--parallel", "1", "--policy", "restart",
+        )
+        assert spelled.stdout == plain.stdout
+        layered = ok("gen-sudoku", "--n", "2", "--seed", "1")
+        assert layered.stdout == ok("gen-sudoku", "--n", "2", "--seed", "1", "--policy", "restart").stdout
+
     def test_parallel_deterministic(self):
         a = ok("gen-sudoku", "--n", "2", "--seed", "5", "--parallel", "2")
         b = ok("gen-sudoku", "--n", "2", "--seed", "5", "--parallel", "2")

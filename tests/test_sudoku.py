@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import hashlib
 import math
 import pickle
 import time
@@ -41,7 +42,7 @@ from sudogen import (
     sudoku_order,
 )
 import sudogen.sudoku as sudoku_mod
-from sudogen.sudoku import _LIST_CAP, _count_layers, _fitting_layers, _listed_layers
+from sudogen.sudoku import _LIST_CAP, _count_layers, _pick_table
 
 EXAMPLE = [[1, 2, 3, 4], [3, 4, 1, 2], [2, 1, 4, 3], [4, 3, 2, 1]]
 
@@ -303,6 +304,31 @@ class TestDisjointStack:
         assert stack.try_push(rest)
 
 
+def rank_key(n, mask):
+    """A layer's cell index in each block, blocks in row-major order."""
+    side = n * n
+    return tuple(
+        next(
+            (s * n + i) * side + t * n + j
+            for i in range(n)
+            for j in range(n)
+            if mask >> ((s * n + i) * side + t * n + j) & 1
+        )
+        for s in range(n)
+        for t in range(n)
+    )
+
+
+def check_tables(n, free, expected):
+    """Both walkers' tables for the ``free`` cells against a filtered list."""
+    total, unrank = _count_layers(n, free)
+    ranked = [unrank(r) for r in range(1, total + 1)]
+    assert ranked == sorted(expected, key=lambda m: rank_key(n, m))
+    picked, pick = _pick_table(n, free)
+    assert picked == total
+    assert [pick(r) for r in range(1, total + 1)] == ranked
+
+
 class TestFittingLayers:
     def test_order_two_matches_filter_on_every_reachable_stack(self, sigma16):
         masks = [m.mask for m in sigma16]
@@ -312,11 +338,7 @@ class TestFittingLayers:
             deeper = set()
             for used in stacks:
                 expected = [m for m in masks if not m & used]
-                listed = _fitting_layers(2, full ^ used, 16)
-                assert sorted(listed) == sorted(expected)
-                total, unrank = _count_layers(2, full ^ used)
-                assert total == len(expected)
-                assert [unrank(r) for r in range(1, total + 1)] == listed
+                check_tables(2, full ^ used, expected)
                 deeper.update(used | m for m in expected)
             stacks = deeper
         assert stacks == {full}
@@ -328,28 +350,43 @@ class TestFittingLayers:
             used = 0
             for layer in decompose(gen_sudoku(3, RandomSource(seed))[0])[:8]:
                 used |= layer.mask
-                expected = [m for m in masks if not m & used]
-                listed = _fitting_layers(3, full ^ used, len(masks))
-                assert sorted(listed) == sorted(expected)
-                total, unrank = _count_layers(3, full ^ used)
-                assert total == len(expected)
-                assert [unrank(r) for r in range(1, total + 1)] == listed
+                check_tables(3, full ^ used, [m for m in masks if not m & used])
 
-    def test_none_past_cap(self, sigma16):
+    @staticmethod
+    def _order_three_stack(ranks, totals):
+        # the free cells of the ONES3 layer 1 plus one layer of each rank,
+        # checking the count of the layers that fit before each pick
+        free = ((1 << 81) - 1) ^ phi(gen_pi_direct(3, ScriptedSource(ONES3))).mask
+        for r, total in zip(ranks, totals):
+            counted, unrank = _count_layers(3, free)
+            assert counted == total
+            free ^= unrank(r)
+        return free
+
+    def test_listed_exactly_when_at_most_cap(self, sigma16, monkeypatch):
+        # 16, 7 and 8 layers fit these stacks; only the last two are kept
+        monkeypatch.setattr(sudoku_mod, "_listed", {})
         full = (1 << 16) - 1
-        free = full ^ sigma16[0].mask
-        assert len(_fitting_layers(2, free, 7)) == 7
-        assert _fitting_layers(2, free, 6) is None
-        assert _fitting_layers(2, full, 15) is None
-        # a dead end is an empty list, not None
-        assert _fitting_layers(2, 0, 0) == []
+        order3 = self._order_three_stack([1] * 6, FIRST3_TOTALS)
+        kept = {}
+        for n, free in [(2, full), (2, full ^ sigma16[0].mask), (3, order3)]:
+            total, unrank = _pick_table(n, free)
+            kept[total] = sudoku_mod._listed.get((n, free))
+            if total <= _LIST_CAP:
+                assert kept[total] == tuple(unrank(r) for r in range(1, total + 1))
+        assert kept[16] is None
+        assert {total for total, fits in kept.items() if fits is not None} == {7, _LIST_CAP}
 
-    def test_order_four_stops_at_cap(self):
-        # about 1.1e11 layers fit the empty order-4 grid; the walk stops
-        # after cap + 1 of them
-        t0 = time.perf_counter()
-        assert _fitting_layers(4, (1 << 256) - 1, 1000) is None
-        assert time.perf_counter() - t0 < 5.0
+    def test_dead_end_has_total_zero(self, sigma16):
+        # the DEAD3 stack, which the generator abandons, and one cell short
+        # of a single order-2 layer
+        dead = self._order_three_stack(DEAD3, DEAD3_TOTALS)
+        assert _count_layers(3, dead)[0] == 0
+        assert _pick_table(3, dead)[0] == 0
+        assert sudoku_mod._listed[3, dead] == ()
+        short = sigma16[0].mask & (sigma16[0].mask - 1)
+        assert _pick_table(2, short)[0] == 0
+        assert _pick_table(2, sigma16[0].mask)[0] == 1
 
     def test_order_four_counts_the_empty_grid(self):
         # every one of the (4!)^8 order-4 layers fits the empty grid
@@ -626,58 +663,107 @@ def seeded_runs(n, seeds, mode="restart", before=None):
     return out
 
 
+def seeded_digest(n, seeds, mode="restart"):
+    """SHA-256 over ``seeded_runs``, one flat tuple per run."""
+    digest = hashlib.sha256()
+    for cells, counts, draws, after in seeded_runs(n, seeds, mode):
+        digest.update(repr((cells, *counts, draws, after)).encode())
+    return digest.hexdigest()
+
+
+def spy_counts(monkeypatch):
+    """Record ``(n, free, total)`` of every count ``_pick_table`` makes."""
+    counted = []
+
+    def spy(n, free):
+        table = _count_layers(n, free)
+        counted.append((n, free, table[0]))
+        return table
+
+    monkeypatch.setattr(sudoku_mod, "_count_layers", spy)
+    return counted
+
+
 class TestPickTables:
     def test_backtracking_counts_each_stack_once(self, monkeypatch):
-        # seed 6 backtracks 1208 times over 45 distinct counted stacks;
-        # recounting after every pop made 630 counts
-        counted = []
-
-        def spy(n, free):
-            counted.append(free)
-            return _count_layers(n, free)
-
-        monkeypatch.setattr(sudoku_mod, "_count_layers", spy)
+        # seed 6 backtracks 1208 times and counts 742 distinct stacks, 45
+        # of them with more than _LIST_CAP layers; recounting after every
+        # pop made 630 counts of those
+        monkeypatch.setattr(sudoku_mod, "_listed", {})
+        counted = spy_counts(monkeypatch)
         cells, stats = gen_sudoku(4, RandomSource(6), RestartPolicy(mode="backtrack"))
         assert is_sudoku(cells)
         assert stats.backtracks == 1208
-        assert len(counted) == len(set(counted)) <= 45
+        frees = [free for _, free, _ in counted]
+        assert len(frees) == len(set(frees)) == 742
+        large = [free for _, free, total in counted if total > _LIST_CAP]
+        assert len(large) == len(set(large)) <= 45
+
+    @pytest.mark.parametrize(
+        "n,seeds,mode,expected",
+        [
+            (2, range(2000), "restart", "e5e40216ec9198828d1c78c369ec8f36d5f27f617624b92b30717bb3d05fb027"),
+            (3, range(40), "restart", "a9307b1865d4cfddd018689ff985631ee0de5bd8eec5f8de899b1c5f407b8407"),
+            (3, range(40), "backtrack", "7f9c92a6a2301ff78a7d0d83869ffd43e071d35a7733224f7d3b5680867d2ce0"),
+            (4, (0, 2), "backtrack", "3050085b0d056d780bea529f7f167cb3558551fd96efce02935d863899d3b938"),
+        ],
+    )
+    def test_seeded_output_is_pinned(self, n, seeds, mode, expected):
+        # grids, stats counts, draws and the next stream value of seeded
+        # runs; a change to how layers are counted, ranked or memoised must
+        # leave them as they are
+        assert seeded_digest(n, seeds, mode) == expected
 
     @pytest.mark.parametrize(
         "n,seeds,mode",
         [(2, range(200), "restart"), (3, range(10), "restart"), (3, range(10), "backtrack")],
     )
     def test_cold_and_warm_memo_agree(self, n, seeds, mode):
-        cold = seeded_runs(n, seeds, mode, before=_listed_layers.cache_clear)
+        cold = seeded_runs(n, seeds, mode, before=sudoku_mod._listed.clear)
         warm = seeded_runs(n, seeds, mode)
         assert warm == cold
         assert warm == seeded_runs(n, seeds, mode)
 
     def test_memo_is_bounded_and_holds_short_listings(self, monkeypatch):
-        # every listing the generator asked for is a memo hit afterwards,
-        # so looking them up again reads what the memo holds
-        assert _listed_layers.cache_info().maxsize is not None
-        listed = []
-
-        def spy(n, free, cap):
-            listed.append((n, free))
-            return _fitting_layers(n, free, cap)
-
-        monkeypatch.setattr(sudoku_mod, "_fitting_layers", spy)
-        _listed_layers.cache_clear()
+        # every short table the generator counted is held afterwards, and
+        # nothing else is
+        monkeypatch.setattr(sudoku_mod, "_listed", {})
+        counted = spy_counts(monkeypatch)
         seeded_runs(2, range(500))
-        # only 64 free masks of order 2 are ever listed
-        assert _listed_layers.cache_info().currsize == len(set(listed)) <= 64
+        # only 64 free masks of order 2 are ever counted, all of them short
+        assert all(total <= _LIST_CAP for _, _, total in counted)
+        assert set(sudoku_mod._listed) == {(n, free) for n, free, _ in counted}
+        assert len(sudoku_mod._listed) == len(counted) <= 64
         seeded_runs(3, range(2))
-        size = _listed_layers.cache_info().currsize
-        held = [_listed_layers(n, free) for n, free in set(listed)]
-        assert _listed_layers.cache_info().currsize == size
-        assert None in held
-        for fits in held:
-            assert fits is None or (
-                isinstance(fits, tuple)
-                and len(fits) <= _LIST_CAP
-                and all(isinstance(m, int) for m in fits)
-            )
+        short = {(n, free) for n, free, total in counted if total <= _LIST_CAP}
+        assert set(sudoku_mod._listed) == short
+        for fits in sudoku_mod._listed.values():
+            assert isinstance(fits, tuple) and len(fits) <= _LIST_CAP
+            assert all(isinstance(m, int) for m in fits)
+        # with room for 16 listings, 40 order-3 runs overflow the memo
+        # several times and it never holds more than that
+        sudoku_mod._listed.clear()
+        monkeypatch.setattr(sudoku_mod, "_LISTED_MAX", 16)
+        for seed in range(40):
+            seeded_runs(3, [seed])
+            assert len(sudoku_mod._listed) <= 16
+        assert len({(n, free) for n, free, total in counted if n == 3 and total <= _LIST_CAP}) > 3 * 16
+
+    def test_order_two_listings_return_after_order_three_fills_the_memo(self, monkeypatch):
+        # A memo that stopped adding once full would keep the order-3
+        # listings that filled it and count every order-2 stack from then
+        # on; one emptied when full takes the order-2 listings back.
+        monkeypatch.setattr(sudoku_mod, "_listed", {})
+        monkeypatch.setattr(sudoku_mod, "_LISTED_MAX", 80)
+        counted = spy_counts(monkeypatch)
+        seeded_runs(3, range(60))
+        assert sum(total <= _LIST_CAP for _, _, total in counted) > 80
+        seeded_runs(2, range(300))
+        seeded_runs(2, range(300))
+        counted.clear()
+        seeded_runs(2, range(300))
+        assert counted == []
+        assert sum(n == 2 for n, _ in sudoku_mod._listed) == 64
 
 
 class TestRejectionGenerator:
