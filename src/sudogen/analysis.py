@@ -44,6 +44,10 @@ def ratio_as_float(num: int, den: int) -> float:
         return math.inf if num > den else 0.0
 
 
+# Largest denominator, in bits, that closed_form_p reduces.
+_MAX_EXACT_BITS = 2**21
+
+
 def closed_form_p(generator_id: str, n: int) -> Fraction:
     """Exact acceptance probability of one attempt, as a rational.
 
@@ -52,7 +56,17 @@ def closed_form_p(generator_id: str, n: int) -> Fraction:
     sigma_n/((n!)^(2n))^(n^2), available only for n <= 3 where the
     Sudoku count is known.  Direct generators accept with probability 1.
     All arithmetic is big-integer exact; nothing is rounded.
+
+    sigma-rejection raises InfeasibleError above order 38, where the
+    denominator has more than 2^21 bits and reducing the fraction takes
+    seconds (about 1 s at order 60 and 6 s at order 80).
     """
+    if generator_id == "sigma-rejection" and n > 0 and n**4 > _MAX_EXACT_BITS:
+        raise InfeasibleError(
+            f"the sigma-rejection acceptance probability at order {n} has a "
+            f"denominator of n^4 = {n**4} bits, more than the {_MAX_EXACT_BITS} "
+            f"bits closed_form_p reduces"
+        )
     return Fraction(*_acceptance_terms(generator_id, n))
 
 

@@ -452,7 +452,12 @@ def _format(*choices: str):
 
 _N = "--n", dict(required=True, type=_POSITIVE)
 _SEED_OPTION = "--seed", dict(type=_SEED, default=None)
-_MAX_ITERATIONS = "--max-iterations", dict(type=_POSITIVE, default=None)
+_MAX_ITERATIONS = "--max-iterations", dict(
+    type=_POSITIVE,
+    default=None,
+    help="Rejection only. Attempts allowed before giving up with exit 3 "
+    "[default: no limit].",
+)
 _TEXT_OR_JSON = _format("text", "json")
 _DIRECT_OR_REJECTION = ["direct", "rejection"]
 
@@ -511,8 +516,9 @@ _COMMANDS = {
                     dest="policy_mode",
                     choices=["restart", "backtrack"],
                     default="restart",
-                    help="When no layer fits the stack: discard the whole stack, or drop "
-                    "its last layer and never pick that layer there again. " + _DEFAULT,
+                    help="Layered only. When no layer fits the stack: discard the whole "
+                    "stack, or drop its last layer and never pick that layer there "
+                    "again. " + _DEFAULT,
                 ),
             ),
             (
@@ -520,8 +526,8 @@ _COMMANDS = {
                 dict(
                     type=_int_range(0),
                     default=None,
-                    help="Full restarts allowed before giving up with exit 3 "
-                    "[default: no limit].",
+                    help="Layered only. Full restarts allowed before giving up with "
+                    "exit 3 [default: no limit].",
                 ),
             ),
             _MAX_ITERATIONS,
@@ -531,8 +537,8 @@ _COMMANDS = {
                     dest="workers",
                     type=_POSITIVE,
                     default=1,
-                    help="Independent attempts with derived seeds; lowest successful "
-                    "attempt index wins. " + _DEFAULT,
+                    help="Layered only. Independent attempts with derived seeds; "
+                    "lowest successful attempt index wins. " + _DEFAULT,
                 ),
             ),
             ("--stats", dict(dest="want_stats", action="store_true", help="Emit run stats as JSON.")),

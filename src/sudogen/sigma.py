@@ -33,8 +33,8 @@ class SigmaMatrix:
     __slots__ = ("n", "mask")
 
     def __init__(self, n: int, mask: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mask", mask)
+        _set_n(self, n)
+        _set_mask(self, mask)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -107,6 +107,12 @@ class SigmaMatrix:
             [(self.mask >> (i * side + j)) & 1 for j in range(side)]
             for i in range(side)
         ]
+
+
+# SigmaMatrix.__init__ fills its slots through their descriptors, which
+# costs less than object.__setattr__ and bypasses the refusing __setattr__.
+_set_n = SigmaMatrix.n.__set__
+_set_mask = SigmaMatrix.mask.__set__
 
 
 def block_order(rows: list[list[int]]) -> int:

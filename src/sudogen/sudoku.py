@@ -407,6 +407,13 @@ def _pick_table(n: int, free: int) -> tuple[int, Callable[[int], int]]:
     return len(fits), lambda r: fits[r - 1]
 
 
+# The policy of a call that passes none; RestartPolicy is immutable, so one
+# instance serves them all.
+_DEFAULT_POLICY = RestartPolicy()
+# The dead layers of every depth in restart mode: none.
+_NONE_DEAD: frozenset[int] = frozenset()
+
+
 def gen_sudoku(
     n: int,
     source: RandomSource,
@@ -453,58 +460,46 @@ def gen_sudoku(
             f"the layers that fit it {n * n - 2} times, and one such count "
             f"already takes about 30 s and 850 MB at order 5"
         )
-    policy = policy or RestartPolicy()
+    policy = policy or _DEFAULT_POLICY
     side = n * n
+    last = side - 1
     full = (1 << (side * side)) - 1
     perf = time.perf_counter
     start = perf()
-    gen_time = 0.0
-    check_time = 0.0
+    gen_time = check_time = 0.0
+    restarts = backtracks = candidates = exact_layers = 0
     stack = DisjointStack(n)
-    restarts = 0
-    backtracks = 0
-    candidates = 0
-    exact_layers = 0
-    # backtrack mode: per depth, the layers already shown to dead-end the
-    # stack of that depth; they are no longer picked there
-    dead: list[set[int]] = [set() for _ in range(side)]
-    # backtrack mode: per depth, the pick table (total, unrank) of the
-    # stack of that depth, so a pop back to it draws without recounting.
-    # Like dead[k], tables[k] is dropped when its stack is popped away.
-    # Restart mode never returns to a stack and keeps no table.
+    push = stack.try_push
     backtracking = policy.mode == "backtrack"
-    tables: list[tuple[int, Callable[[int], int]] | None] = [None] * side
-
-    def make_stats() -> GenStats:
-        return GenStats(
-            n=n,
-            seed=source.seed,
-            restarts=restarts,
-            backtracks=backtracks,
-            candidates=candidates,
-            exact_layers=exact_layers,
-            wall_time_s=perf() - start,
-            gen_time_s=gen_time,
-            check_time_s=check_time,
-        )
-
-    while len(stack) < side:
-        k = len(stack)
+    if backtracking:
+        # per depth, the layers already shown to dead-end the stack of that
+        # depth, which are no longer picked there; and the pick table
+        # (total, unrank) of that stack, so a pop back to it draws without
+        # recounting.  Both are dropped when their stack is popped away.
+        dead: list[set[int]] = [set() for _ in range(side)]
+        tables: list[tuple[int, Callable[[int], int]] | None] = [None] * side
+    # restart mode never returns to a stack: it marks no layer dead and
+    # keeps no table
+    dead_k = _NONE_DEAD
+    k = 0  # the stack's depth
+    while k < side:
         t0 = perf()
-        if k == side - 1:
+        if k == last:
             mask = full ^ stack.mask
         elif k == 0:
             mask = _phi_mask(gen_pi_direct(n, source), n)
         else:
-            table = tables[k]
-            if table is None:
+            if backtracking:
+                dead_k = dead[k]
+                table = tables[k]
+                if table is None:
+                    table = tables[k] = _pick_table(n, full ^ stack.mask)
+            else:
                 table = _pick_table(n, full ^ stack.mask)
-                if backtracking:
-                    tables[k] = table
             total, unrank = table
-            if total > len(dead[k]):
+            if total > len(dead_k):
                 mask = unrank(source.uniform_int(total))
-                while mask in dead[k]:
+                while mask in dead_k:
                     mask = unrank(source.uniform_int(total))
                 exact_layers += 1
             else:
@@ -513,24 +508,33 @@ def gen_sudoku(
         gen_time += t1 - t0
         if mask is not None:
             candidates += 1
-            pushed = stack.try_push(SigmaMatrix(n, mask))
+            pushed = push(SigmaMatrix(n, mask))
             assert pushed, "every picked layer fits the stack"
             check_time += perf() - t1
+            k += 1
         elif backtracking:
             dead[k].clear()
             tables[k] = None
-            dead[k - 1].add(stack.pop().mask)
+            k -= 1
+            dead[k].add(stack.pop().mask)
             backtracks += 1
         else:
             stack.clear()
+            k = 0
             restarts += 1
             if policy.max_restarts is not None and restarts > policy.max_restarts:
                 raise BudgetExhaustedError(
                     f"gave up after {policy.max_restarts} full restarts at order {n}",
-                    stats=make_stats(),
+                    stats=GenStats(
+                        n, source.seed, restarts, backtracks, candidates, exact_layers,
+                        perf() - start, gen_time, check_time,
+                    ),
                 )
     cells = compose(stack.layers)
-    return cells, make_stats()
+    return cells, GenStats(
+        n, source.seed, restarts, backtracks, candidates, exact_layers,
+        perf() - start, gen_time, check_time,
+    )
 
 
 def _backtrack_grids(n: int) -> Iterator[list[list[int]]]:

@@ -48,6 +48,15 @@ class TestClosedForm:
         assert closed_form_p("sigma-rejection", 2) == Fraction(1, 4096)
         assert closed_form_p("sigma-rejection", 2) == Fraction(16, 65536)
 
+    def test_sigma_rejection_largest_exact_order(self):
+        # 38^4 bits is the largest denominator reduced; 39^4 exceeds 2^21
+        f = math.factorial(38)
+        assert closed_form_p("sigma-rejection", 38) == Fraction(f**76, 2 ** (38**4))
+        with pytest.raises(InfeasibleError, match="2313441 bits"):
+            closed_form_p("sigma-rejection", 39)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            closed_form_p("sigma-rejection", -39)
+
     def test_sudoku_rejection_values(self):
         assert closed_form_p("sudoku-rejection", 1) == 1
         assert closed_form_p("sudoku-rejection", 2) == Fraction(288, 65536)

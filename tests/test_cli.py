@@ -555,6 +555,18 @@ class TestEntryPoint:
         assert result.exit_code == 0
         assert "--max-restarts" in result.stdout
         assert "[default: restart]" in result.stdout
+        # each option says which algorithm reads it, however the help wraps
+        text = " ".join(result.stdout.split())
+        for option, algorithm in [
+            ("--policy {restart,backtrack}", "Layered"),
+            ("--max-restarts MAX_RESTARTS", "Layered"),
+            ("--parallel WORKERS", "Layered"),
+            ("--max-iterations MAX_ITERATIONS", "Rejection"),
+        ]:
+            assert f"{option} {algorithm} only." in text
+        for command in ("gen-perm", "gen-pi", "gen-sigma"):
+            text = " ".join(run(command, "--help").stdout.split())
+            assert "--max-iterations MAX_ITERATIONS Rejection only." in text
         listing = run("--help")
         assert listing.exit_code == 0
         for name in ("gen-perm", "gen-sudoku", "map", "decompose", "bench"):

@@ -601,6 +601,36 @@ class TestLayeredGenerator:
         assert stats.gen_time_s >= 0
         assert stats.check_time_s >= 0
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("mode", ["restart", "backtrack"])
+    def test_phase_times_fit_in_wall_time(self, n, mode):
+        for seed in range(5):
+            _, stats = gen_sudoku(n, RandomSource(seed), RestartPolicy(mode=mode))
+            assert 0 <= stats.gen_time_s + stats.check_time_s <= stats.wall_time_s
+
+    def test_partial_phase_times_fit_in_wall_time(self):
+        # seed 0 abandons a stack at order 3 (test_dead_ends_are_exact_at_order_three)
+        with pytest.raises(BudgetExhaustedError) as exc_info:
+            gen_sudoku(3, RandomSource(0), RestartPolicy(max_restarts=0))
+        stats = exc_info.value.stats
+        assert stats.restarts == 1
+        assert stats.candidates > 0
+        assert 0 <= stats.gen_time_s + stats.check_time_s <= stats.wall_time_s
+
+    @pytest.mark.parametrize("n,seeds", [(2, range(200)), (3, range(10))])
+    def test_no_policy_runs_as_a_fresh_default_policy(self, n, seeds):
+        # a call without a policy shares one module-level RestartPolicy;
+        # it must run exactly as a call given a new RestartPolicy()
+        def run(seed, *policy):
+            src = RandomSource(seed)
+            cells, stats = gen_sudoku(n, src, *policy)
+            counts = (stats.restarts, stats.backtracks, stats.candidates, stats.exact_layers)
+            return cells, counts, src.draws, src.uniform_int(2**40)
+
+        runs = [(run(seed), run(seed, RestartPolicy())) for seed in seeds]
+        assert all(default == explicit for default, explicit in runs)
+        assert any(default[1][0] for default, _ in runs) == (n == 3)
+
     def test_stats_accounting(self):
         # order 2 never dead-ends (test_exact_law_order_two), so a run
         # pushes its four layers and nothing else
