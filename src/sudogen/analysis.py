@@ -105,6 +105,23 @@ def _refuse(generator_id: str, n: int) -> None:
         raise ValueError(f"order must be >= 1, got {n}")
     if n < 3 or generator_id not in ("sigma-rejection", "sudoku-rejection"):
         return
+    if generator_id == "sigma-rejection":
+        # log2 of 2^(n^4)/(n!)^(2n), so that the powers are built only
+        # where their quotient fits a float (up to order 5)
+        log2_expected = n**4 - 2 * n * math.lgamma(n + 1) / math.log(2)
+        if log2_expected < 1000:
+            accepted, space = _acceptance_terms(generator_id, n)
+            expected = ratio_as_float(space, accepted)
+            about = f"{expected:.3g}"
+        else:
+            expected = math.inf
+            about = f"10^{round(log2_expected * math.log10(2))}"
+        raise InfeasibleError(
+            f"blind bit-sampling at order {n} accepts with probability "
+            f"about 1/{about}; expected {about} iterations. "
+            f"Use the pi-matrix mapping instead.",
+            expected_iterations=expected,
+        )
     try:
         accepted, space = _acceptance_terms(generator_id, n)
     except UnknownSigmaError:
@@ -115,13 +132,6 @@ def _refuse(generator_id: str, n: int) -> None:
             f"sample space alone has {digits} decimal digits",
         ) from None
     expected = ratio_as_float(space, accepted)
-    if generator_id == "sigma-rejection":
-        raise InfeasibleError(
-            f"blind bit-sampling at order {n} accepts with probability "
-            f"about 1/{expected:.3g}; expected {expected:.3g} iterations. "
-            f"Use the pi-matrix mapping instead.",
-            expected_iterations=expected,
-        )
     raise InfeasibleError(
         f"blind layer-tuple sampling at order {n} accepts with probability "
         f"about 1/{expected:.3g}; expected {expected:.3g} iterations",

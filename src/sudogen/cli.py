@@ -63,24 +63,24 @@ def _echo(text: str = "", err: bool = False, nl: bool = True) -> None:
     stream.flush()
 
 
-def _emit(
-    text_payload: str,
-    json_payload: dict,
-    fmt: str,
-    seed: int,
-    iterations: int | None = None,
-):
-    # A rejection generator's attempt count goes into the JSON payload, or
-    # on stderr ahead of the seed in text mode.
-    if iterations is not None:
-        json_payload["iterations"] = iterations
+def _emit(fmt: str, seed: int, value, to_text, to_json, iterations=None, stats=None):
+    # Only the printed format is built.  A rejection generator's attempt
+    # count and gen-sudoku's run stats go into the JSON payload, or on
+    # stderr ahead of the matrix in text mode.
     if fmt == "json":
-        _echo_json(json_payload)
-    else:
+        payload = to_json(value, seed)
         if iterations is not None:
-            _echo(f"iterations: {iterations}", err=True)
-        _echo(text_payload)
-        _echo(f"seed: {seed}", err=True)
+            payload["iterations"] = iterations
+        if stats is not None:
+            payload["stats"] = stats
+        _echo_json(payload)
+        return
+    if stats is not None:
+        _echo_json(stats, err=True)
+    if iterations is not None:
+        _echo(f"iterations: {iterations}", err=True)
+    _echo(to_text(value))
+    _echo(f"seed: {seed}", err=True)
 
 
 def _echo_json(payload: dict, err: bool = False) -> None:
@@ -89,50 +89,44 @@ def _echo_json(payload: dict, err: bool = False) -> None:
     _echo(json.dumps(payload, indent=2), err=err)
 
 
-def _echo_csv(header: list[str], rows: list[list]) -> None:
-    import csv
+def _generate(args, direct, rejection: str, to_text, to_json) -> None:
+    # The body of gen-perm, gen-pi and gen-sigma: direct(n, source), or the
+    # rejection loop of sudogen.analysis named ``rejection``.
+    source = RandomSource(args.seed)
+    if args.algorithm == "direct":
+        value, iterations = direct(args.n, source), None
+    else:
+        from . import analysis
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _echo(buf.getvalue(), nl=False)
+        value, iterations = getattr(analysis, rejection)(args.n, source, args.max_iterations)
+    _emit(args.fmt, source.seed, value, to_text, to_json, iterations)
 
 
 def gen_perm_cmd(args):
     """Generate one random permutation of 1..n."""
-    source = RandomSource(args.seed)
-    if args.algorithm == "direct":
-        values, iterations = gen_perm_direct(args.n, source, variant=args.variant), None
-    else:
-        from .analysis import gen_perm_rejection
-
-        values, iterations = gen_perm_rejection(args.n, source, args.max_iterations)
-    _emit(format_perm(values), perm_json(values, source.seed), args.fmt, source.seed, iterations)
+    _generate(
+        args,
+        lambda n, source: gen_perm_direct(n, source, variant=args.variant),
+        "gen_perm_rejection",
+        format_perm,
+        perm_json,
+    )
 
 
 def gen_pi_cmd(args):
     """Generate a random 2n x n matrix whose rows are all permutations."""
-    source = RandomSource(args.seed)
-    if args.algorithm == "direct":
-        rows, iterations = gen_pi_direct(args.n, source), None
-    else:
-        from .analysis import gen_pi_rejection
-
-        rows, iterations = gen_pi_rejection(args.n, source, args.max_iterations)
-    _emit(format_pi(rows), pi_json(rows, source.seed), args.fmt, source.seed, iterations)
+    _generate(args, gen_pi_direct, "gen_pi_rejection", format_pi, pi_json)
 
 
 def gen_sigma_cmd(args):
     """Generate a random block permutation matrix of side n^2."""
-    source = RandomSource(args.seed)
-    if args.algorithm == "direct":
-        matrix, iterations = phi(gen_pi_direct(args.n, source)), None
-    else:
-        from .analysis import gen_sigma_rejection
-
-        matrix, iterations = gen_sigma_rejection(args.n, source, args.max_iterations)
-    _emit(format_sigma(matrix), sigma_json(matrix, source.seed), args.fmt, source.seed, iterations)
+    _generate(
+        args,
+        lambda n, source: phi(gen_pi_direct(n, source)),
+        "gen_sigma_rejection",
+        format_sigma,
+        sigma_json,
+    )
 
 
 def _parallel_attempt(args):
@@ -213,12 +207,14 @@ def gen_sudoku_cmd(args):
         stats_dict["attempt_index"] = index
         stats_dict["root_seed"] = root_seed
 
-    payload = sudoku_json(cells, root_seed)
-    if args.want_stats:
-        payload["stats"] = stats_dict
-        if args.fmt == "text":
-            _echo_json(stats_dict, err=True)
-    _emit(format_sudoku(cells, pretty=args.pretty), payload, args.fmt, root_seed)
+    _emit(
+        args.fmt,
+        root_seed,
+        cells,
+        lambda cells: format_sudoku(cells, pretty=args.pretty),
+        sudoku_json,
+        stats=stats_dict if args.want_stats else None,
+    )
 
 
 def _is_sudoku(cells: list[list[int]]) -> bool:
@@ -296,6 +292,23 @@ def compose_cmd(args):
     _echo(format_sudoku(compose(layers)))
 
 
+def _report(fmt: str, data: dict, header: list[str], rows: list[list], lines: list[str]):
+    # estimate and bench: the report's dict as JSON, its header and rows as
+    # CSV, or its text lines
+    if fmt == "json":
+        _echo_json(data)
+    elif fmt == "csv":
+        import csv
+
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        _echo(buf.getvalue(), nl=False)
+    else:
+        _echo("\n".join(lines))
+
+
 def _fraction_text(d: dict) -> str:
     return f"{d['float']:.6g} ({d['numerator']}/{d['denominator']})"
 
@@ -305,56 +318,30 @@ def estimate_cmd(args):
     from .analysis import estimate_p
 
     source = RandomSource(args.seed)
-    report = estimate_p(args.generator_id, args.n, args.samples, source)
-    data = report.to_dict()
-    if args.fmt == "json":
-        _echo_json(data)
-        return
-    if args.fmt == "csv":
-        _echo_csv(
-            [
-                "generator_id",
-                "n",
-                "samples",
-                "successes",
-                "empirical_p",
-                "theoretical_p",
-                "std_error",
-                "mean_iteration_time_s",
-                "mean_check_time_s",
-                "seed",
-            ],
-            [
-                [
-                    data["generator_id"],
-                    data["n"],
-                    data["samples"],
-                    data["successes"],
-                    data["empirical_acceptance"]["float"],
-                    data["theoretical_acceptance"]["float"],
-                    data["std_error"],
-                    data["mean_iteration_time_s"],
-                    data["mean_check_time_s"],
-                    data["seed"],
-                ]
-            ],
-        )
-        return
-    rows = [
-        ("generator", data["generator_id"]),
-        ("n", str(data["n"])),
-        ("samples", str(data["samples"])),
-        ("successes", str(data["successes"])),
-        ("empirical", _fraction_text(data["empirical_acceptance"])),
-        ("theoretical", _fraction_text(data["theoretical_acceptance"])),
-        ("std-error", f"{data['std_error']:.3e}"),
-        ("mean-iteration-time", f"{data['mean_iteration_time_s']:.3e} s"),
-        ("mean-check-time", f"{data['mean_check_time_s']:.3e} s"),
-        ("seed", str(data["seed"])),
+    data = estimate_p(args.generator_id, args.n, args.samples, source).to_dict()
+    empirical, theoretical = data["empirical_acceptance"], data["theoretical_acceptance"]
+    iteration_s, check_s = data["mean_iteration_time_s"], data["mean_check_time_s"]
+    # (CSV column, text label, CSV value, text value)
+    fields = [
+        ("generator_id", "generator", data["generator_id"], data["generator_id"]),
+        ("n", "n", data["n"], str(data["n"])),
+        ("samples", "samples", data["samples"], str(data["samples"])),
+        ("successes", "successes", data["successes"], str(data["successes"])),
+        ("empirical_p", "empirical", empirical["float"], _fraction_text(empirical)),
+        ("theoretical_p", "theoretical", theoretical["float"], _fraction_text(theoretical)),
+        ("std_error", "std-error", data["std_error"], f"{data['std_error']:.3e}"),
+        ("mean_iteration_time_s", "mean-iteration-time", iteration_s, f"{iteration_s:.3e} s"),
+        ("mean_check_time_s", "mean-check-time", check_s, f"{check_s:.3e} s"),
+        ("seed", "seed", data["seed"], str(data["seed"])),
     ]
-    width = max(len(k) for k, _ in rows)
-    for key, value in rows:
-        _echo(f"{key.ljust(width)}  {value}")
+    width = max(len(label) for _, label, _, _ in fields)
+    _report(
+        args.fmt,
+        data,
+        [column for column, _, _, _ in fields],
+        [[value for _, _, value, _ in fields]],
+        [f"{label.ljust(width)}  {text}" for _, label, _, text in fields],
+    )
 
 
 def bench_cmd(args):
@@ -362,52 +349,30 @@ def bench_cmd(args):
     from .analysis import bench_tau
 
     source = RandomSource(args.seed)
-    report = bench_tau(args.generator_id, args.sizes, args.repetitions, source)
-    data = report.to_dict()
-    if args.fmt == "json":
-        _echo_json(data)
-        return
-    if args.fmt == "csv":
-        _echo_csv(
-            [
-                "generator_id",
-                "n",
-                "median_s",
-                "mad_s",
-                "repetitions",
-                "slope",
-                "slope_stderr",
-                "seed",
-            ],
-            [
-                [
-                    data["generator_id"],
-                    point["n"],
-                    point["median_s"],
-                    point["mad_s"],
-                    data["repetitions"],
-                    data["slope"],
-                    data["slope_stderr"],
-                    data["seed"],
-                ]
-                for point in data["points"]
-            ],
-        )
-        return
-    _echo(
+    data = bench_tau(args.generator_id, args.sizes, args.repetitions, source).to_dict()
+    points, slope, stderr = data["points"], data["slope"], data["slope_stderr"]
+    lines = [
         f"generator: {data['generator_id']}   repetitions: "
-        f"{data['repetitions']}   seed: {data['seed']}"
-    )
-    _echo(f"{'n':>8}  {'median_s':>12}  {'mad_s':>12}")
-    for point in data["points"]:
-        _echo(f"{point['n']:>8}  {point['median_s']:>12.4e}  {point['mad_s']:>12.4e}")
-    if data["slope"] is not None:
-        line = f"slope: {data['slope']:.3f}"
-        if data["slope_stderr"] is not None:
+        f"{data['repetitions']}   seed: {data['seed']}",
+        f"{'n':>8}  {'median_s':>12}  {'mad_s':>12}",
+        *(f"{p['n']:>8}  {p['median_s']:>12.4e}  {p['mad_s']:>12.4e}" for p in points),
+    ]
+    if slope is not None:
+        lines.append(f"slope: {slope:.3f}")
+        if stderr is not None:
             lo, hi = data["slope_ci95"]
-            line += f"   stderr: {data['slope_stderr']:.3f}"
-            line += f"   ci95: [{lo:.3f}, {hi:.3f}]"
-        _echo(line)
+            lines[-1] += f"   stderr: {stderr:.3f}   ci95: [{lo:.3f}, {hi:.3f}]"
+    _report(
+        args.fmt,
+        data,
+        ["generator_id", "n", "median_s", "mad_s", "repetitions", "slope", "slope_stderr", "seed"],
+        [
+            [data["generator_id"], p["n"], p["median_s"], p["mad_s"], data["repetitions"],
+             slope, stderr, data["seed"]]
+            for p in points
+        ],
+        lines,
+    )
 
 
 def _int_range(lo: int, hi: int | None = None):
@@ -450,8 +415,8 @@ def _format(*choices: str):
     return "--format", dict(dest="fmt", choices=choices, default="text")
 
 
-_N = "--n", dict(required=True, type=_POSITIVE)
-_SEED_OPTION = "--seed", dict(type=_SEED, default=None)
+_N = "--n", dict(required=True, type=_POSITIVE, help="Order.")
+_SEED_OPTION = "--seed", dict(type=_SEED, default=None, help="RNG seed.")
 _MAX_ITERATIONS = "--max-iterations", dict(
     type=_POSITIVE,
     default=None,
@@ -467,8 +432,8 @@ _COMMANDS = {
     "gen-perm": (
         gen_perm_cmd,
         [
-            ("--n", dict(_N[1], help="Order.")),
-            ("--seed", dict(_SEED_OPTION[1], help="RNG seed.")),
+            _N,
+            _SEED_OPTION,
             _algorithm(_DIRECT_OR_REJECTION),
             (
                 "--variant",

@@ -105,9 +105,5 @@ class RandomSource:
         self.draws += len(out)
         return out
 
-    def spawn(self, index: int) -> "RandomSource":
-        """Independent child source for parallel attempt ``index``."""
-        return RandomSource(derive_seed(self.seed, index))
-
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed})"

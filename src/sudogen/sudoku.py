@@ -153,9 +153,6 @@ class DisjointStack:
     def __len__(self) -> int:
         return len(self.layers)
 
-    def ones_count(self) -> int:
-        return self.mask.bit_count()
-
     def try_push(self, layer: SigmaMatrix) -> bool:
         """Accept the layer iff it is disjoint from everything so far."""
         if layer.n != self.n:

@@ -126,6 +126,7 @@ class TestEstimate:
         "generator_id,n,generate",
         [
             ("sigma-rejection", 3, gen_sigma_rejection),
+            ("sigma-rejection", 10**4, gen_sigma_rejection),
             ("sudoku-rejection", 3, gen_sudoku_rejection),
             ("sudoku-rejection", 4, gen_sudoku_rejection),
         ],

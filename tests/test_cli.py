@@ -27,7 +27,7 @@ from sudogen import (
     parse_pi,
     phi,
 )
-from sudogen.cli import main
+from sudogen.cli import _COMMANDS, main
 
 EXAMPLE = [[1, 2, 3, 4], [3, 4, 1, 2], [2, 1, 4, 3], [4, 3, 2, 1]]
 
@@ -273,6 +273,30 @@ class TestGenSudoku:
         assert stats["attempt_index"] in (0, 1)
 
 
+class TestOnlyThePrintedFormatIsBuilt:
+    @pytest.mark.parametrize(
+        "writer,args",
+        [
+            ("perm_json", ["gen-perm", "--n", "5", "--seed", "1"]),
+            ("perm_json", ["gen-perm", "--n", "3", "--seed", "1", "--algorithm", "rejection"]),
+            ("pi_json", ["gen-pi", "--n", "3", "--seed", "1"]),
+            ("sigma_json", ["gen-sigma", "--n", "3", "--seed", "1"]),
+            ("sudoku_json", ["gen-sudoku", "--n", "2", "--seed", "1", "--stats"]),
+        ],
+    )
+    def test_text_mode_builds_no_json_payload(self, monkeypatch, writer, args):
+        def refuse(*_):
+            raise AssertionError(f"{writer} called")
+
+        monkeypatch.setattr(f"sudogen.cli.{writer}", refuse)
+        result = ok(*args)
+        assert result.stdout
+        assert result.stderr.endswith("seed: 1\n")
+        # the patched writer is the one JSON mode uses
+        with pytest.raises(AssertionError, match=f"{writer} called"):
+            run(*args, "--format", "json")
+
+
 class TestCheck:
     def test_valid_perm(self):
         result = run("check", "--kind", "perm", input="3,1,2\n")
@@ -424,6 +448,29 @@ class TestEstimate:
         assert int(rows[0]["successes"]) == payload["successes"]
         assert float(rows[0]["theoretical_p"]) == 0.5
 
+    @pytest.mark.parametrize(
+        "generator,samples,seed,pinned",
+        [
+            ("perm-rejection", 1000, 3, ["490", "0.49", "0.5", "0.0158082257068907"]),
+            ("sudoku-rejection", 2000, 1, ["12", "0.006", "0.00439453125", "0.0017268468374467957"]),
+        ],
+    )
+    def test_csv_pinned(self, generator, samples, seed, pinned):
+        # recorded before estimate's CSV and text rows came from one list;
+        # the two mean times are left out
+        result = ok(
+            "estimate", "--generator", generator, "--n", "2",
+            "--samples", str(samples), "--seed", str(seed), "--format", "csv",
+        )
+        header, row, end = result.stdout.split("\r\n")
+        assert header == (
+            "generator_id,n,samples,successes,empirical_p,theoretical_p,std_error,"
+            "mean_iteration_time_s,mean_check_time_s,seed"
+        )
+        fields = row.split(",")
+        assert fields[:7] + fields[9:] == [generator, "2", str(samples), *pinned, str(seed)]
+        assert end == ""
+
     def test_deterministic(self):
         args = (
             "estimate", "--generator", "pi-rejection",
@@ -481,6 +528,24 @@ class TestBench:
         rows = list(csv.DictReader(io.StringIO(result.stdout)))
         assert [r["n"] for r in rows] == ["8", "16"]
         assert all(float(r["median_s"]) > 0 for r in rows)
+
+    @pytest.mark.parametrize("sizes,has_slope", [("8,16", True), ("8", False)])
+    def test_csv_pinned(self, sizes, has_slope):
+        # recorded before bench shared estimate's report writer; median_s,
+        # mad_s and a fitted slope are timings and are left out
+        result = ok(
+            "bench", "--generator", "perm-direct", "--sizes", sizes,
+            "--repetitions", "2", "--seed", "1", "--format", "csv",
+        )
+        header, *rows, end = result.stdout.split("\r\n")
+        assert header == "generator_id,n,median_s,mad_s,repetitions,slope,slope_stderr,seed"
+        assert end == ""
+        fields = [row.split(",") for row in rows]
+        # generator_id, n, repetitions, slope_stderr (none below three sizes), seed
+        assert [[f[0], f[1], f[4], f[6], f[7]] for f in fields] == [
+            ["perm-direct", n, "2", "", "1"] for n in sizes.split(",")
+        ]
+        assert [f[5] != "" for f in fields] == [has_slope] * len(fields)
 
     def test_bad_sizes(self):
         assert run("bench", "--generator", "perm-direct", "--sizes", "x").exit_code == 2
@@ -571,6 +636,21 @@ class TestEntryPoint:
         assert listing.exit_code == 0
         for name in ("gen-perm", "gen-sudoku", "map", "decompose", "bench"):
             assert f"\n    {name}" in listing.stdout
+
+
+    def test_n_and_seed_have_one_help_line(self):
+        found = {"--n": {}, "--seed": {}}
+        for command in _COMMANDS:
+            options = run(command, "--help").stdout.split("\noptions:\n")[1]
+            for line in options.splitlines():
+                words = line.split()
+                if words and words[0] in found:
+                    found[words[0]][command] = " ".join(words)
+        generators = ["gen-perm", "gen-pi", "gen-sigma", "gen-sudoku"]
+        assert sorted(found["--n"]) == sorted([*generators, "enumerate", "estimate"])
+        assert set(found["--n"].values()) == {"--n N Order."}
+        assert sorted(found["--seed"]) == sorted([*generators, "estimate", "bench"])
+        assert set(found["--seed"].values()) == {"--seed SEED RNG seed."}
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

@@ -16,6 +16,7 @@ GOLDEN = ROOT / "scripts" / "cli_golden.json"
 # fast examples, replayed against the golden file on every test run
 CHEAP = [
     "sudogen gen-perm --n 8 --seed 42",
+    "sudogen gen-perm --n 5 --seed 42 --algorithm rejection",
     "sudogen gen-sigma --n 3 --algorithm rejection",
     "sudogen gen-sudoku --n 3 --seed 7 --pretty --stats",
     "sudogen gen-pi --n 2 --seed 1 | sudogen map --phi | sudogen check --kind sigma",
@@ -23,6 +24,7 @@ CHEAP = [
     "sudogen gen-sudoku --n 4 --seed 2 | sudogen check --kind sudoku",
     "sudogen gen-sudoku --n 2 --seed 5 | sudogen decompose | sudogen compose",
     "sudogen estimate --generator sudoku-rejection --n 2 --samples 200000 --seed 1",
+    "sudogen bench --generator perm-direct --sizes 64,128,256,512 --repetitions 30",
 ]
 
 

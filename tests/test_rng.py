@@ -80,12 +80,6 @@ def test_derive_seed_deterministic_and_spread():
         derive_seed(99, -1)
 
 
-def test_spawn_matches_derive_seed():
-    root = RandomSource(555)
-    child = root.spawn(4)
-    assert child.seed == derive_seed(555, 4)
-
-
 def test_splitmix64_stays_in_64_bits():
     for x in (0, 1, 2**63, 2**64 - 1):
         y = splitmix64(x)

@@ -1,7 +1,9 @@
 """Block permutation matrices: bijection, membership, disjointness."""
 
 import copy
+import math
 import pickle
+import time
 from itertools import permutations
 
 import pytest
@@ -335,6 +337,18 @@ class TestRejectionGenerator:
         expected = exc_info.value.expected_iterations
         # 2^81 / 6^6 ~ 5.18e19
         assert expected == pytest.approx(2**81 / 6**6, rel=1e-12)
+
+    def test_orders_past_float_range_refused_by_power_of_ten(self):
+        # 1/p = 2^(n^4)/(n!)^(2n) overflows a float from order 6 on
+        assert 10**355 < 2**1296 // 720**12 < 10**357
+        with pytest.raises(InfeasibleError, match=r"1/10\^356; expected 10\^356 iterations"):
+            gen_sigma_rejection(6, RandomSource(0))
+        # 2^(n^4) would have 10^16 bits here
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleError) as exc_info:
+            gen_sigma_rejection(10**4, RandomSource(0))
+        assert time.perf_counter() - start < 1.0
+        assert exc_info.value.expected_iterations == math.inf
 
 
 class TestEnumeration:

@@ -230,7 +230,7 @@ class TestDisjointStack:
         stack = DisjointStack(2)
         for k, layer in enumerate(example_layers(), start=1):
             assert stack.try_push(layer)
-            assert stack.ones_count() == k * 4
+            assert stack.mask.bit_count() == k * 4
         assert len(stack) == 4
 
     def test_rejects_overlapping(self):
@@ -239,7 +239,7 @@ class TestDisjointStack:
         assert stack.try_push(layer)
         assert not stack.try_push(layer)
         assert len(stack) == 1
-        assert stack.ones_count() == 4
+        assert stack.mask.bit_count() == 4
 
     def test_pop_restores_mask(self):
         stack = DisjointStack(2)
