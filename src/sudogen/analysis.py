@@ -78,11 +78,16 @@ def _acceptance_terms(generator_id: str, n: int) -> tuple[int, int]:
         raise ValueError(f"unknown generator id {generator_id!r}")
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
+    if generator_id in ("perm-direct", "pi-direct"):
+        return 1, 1
+    # refused before n! is built: at order 10^5 n! has 456,574 digits
+    if generator_id == "sudoku-rejection" and n not in SIGMA_COUNTS:
+        raise UnknownSigmaError(
+            f"no exact Sudoku-matrix count is known for order {n}"
+        )
     f = math.factorial(n)
     if generator_id == "perm-rejection":
         return f, n**n
-    if generator_id in ("perm-direct", "pi-direct"):
-        return 1, 1
     if generator_id == "pi-rejection":
         return f ** (2 * n), n ** (2 * n * n)
     if generator_id == "sigma-rejection":
@@ -90,10 +95,6 @@ def _acceptance_terms(generator_id: str, n: int) -> tuple[int, int]:
     # sudoku-rejection: attempts draw n^2 independent uniform block
     # permutation layers and accept iff pairwise disjoint; disjoint
     # ordered tuples correspond one-to-one to Sudoku matrices.
-    if n not in SIGMA_COUNTS:
-        raise UnknownSigmaError(
-            f"no exact Sudoku-matrix count is known for order {n}"
-        )
     return SIGMA_COUNTS[n], (f ** (2 * n)) ** (n * n)
 
 
@@ -125,8 +126,8 @@ def _refuse(generator_id: str, n: int) -> None:
     try:
         accepted, space = _acceptance_terms(generator_id, n)
     except UnknownSigmaError:
-        # digits of ((n!)^(2n))^(n^2), without building it
-        digits = math.floor(2 * n**3 * math.log10(math.factorial(n))) + 1
+        # digits of ((n!)^(2n))^(n^2), without building it or n!
+        digits = math.floor(2 * n**3 * math.lgamma(n + 1) / math.log(10)) + 1
         raise InfeasibleError(
             f"the Sudoku-matrix count is unknown for order {n}; the layer-tuple "
             f"sample space alone has {digits} decimal digits",

@@ -22,8 +22,8 @@ import os
 import sys
 
 # Each child process pays for what it imports, so sudogen.sudoku,
-# sudogen.analysis, the process pool, csv and json are imported inside the
-# commands that use them, and the parser is the standard library's argparse.
+# sudogen.analysis, csv and json are imported inside the commands that use
+# them, and the parser is the standard library's argparse.
 from .errors import (
     BENCH_IDS,
     GENERATOR_IDS,
@@ -129,19 +129,6 @@ def gen_sigma_cmd(args):
     )
 
 
-def _parallel_attempt(args):
-    from .sudoku import RestartPolicy, gen_sudoku
-
-    n, seed, mode, max_restarts = args
-    source = RandomSource(seed)
-    policy = RestartPolicy(mode=mode, max_restarts=max_restarts)
-    try:
-        cells, stats = gen_sudoku(n, source, policy)
-    except BudgetExhaustedError:
-        return None
-    return cells, stats.to_dict()
-
-
 def gen_sudoku_cmd(args):
     """Generate one random n^2 x n^2 Sudoku matrix.
 
@@ -149,14 +136,14 @@ def gen_sudoku_cmd(args):
     each later layer uniformly among the layers that fit the stack and
     forces the last one.  Orders above 4 are refused with exit 3.
     """
-    n, seed, workers = args.n, args.seed, args.workers
+    n, seed, attempts = args.n, args.seed, args.workers
     # an option the chosen algorithm does not read is a usage error, not
     # silently dropped
     if args.algorithm == "rejection":
         unread = {
             "--policy": args.policy_mode != "restart",
             "--max-restarts": args.max_restarts is not None,
-            "--parallel": workers != 1,
+            "--parallel": attempts != 1,
         }
     else:
         unread = {"--max-iterations": args.max_iterations is not None}
@@ -170,42 +157,29 @@ def gen_sudoku_cmd(args):
         cells, iterations = gen_sudoku_rejection(n, source, args.max_iterations)
         root_seed = source.seed
         stats_dict = {"iterations": iterations, "seed": root_seed}
-    elif workers == 1:
+    else:
         from .sudoku import RestartPolicy, gen_sudoku
 
-        source = RandomSource(seed)
         policy = RestartPolicy(mode=args.policy_mode, max_restarts=args.max_restarts)
-        cells, stats = gen_sudoku(n, source, policy)
-        root_seed = source.seed
-        stats_dict = stats.to_dict()
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # loaded before the pool forks, so that no worker imports it again
-        from . import sudoku  # noqa: F401
-
         root_seed = seed if seed is not None else entropy_seed()
-        jobs = [
-            (n, derive_seed(root_seed, i), args.policy_mode, args.max_restarts)
-            for i in range(workers)
-        ]
-        winner = None
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_parallel_attempt, job) for job in jobs]
-            for index, future in enumerate(futures):
-                outcome = future.result()
-                if outcome is not None:
-                    winner = (index, outcome)
-                    for later in futures[index + 1 :]:
-                        later.cancel()
-                    break
-        if winner is None:
+        # --parallel K runs attempts 0, 1, ... one after another on seeds
+        # derived from the root, and the first within its restart budget
+        # wins; --parallel 1 is the one attempt on the root seed itself.
+        for index in range(attempts):
+            attempt_seed = root_seed if attempts == 1 else derive_seed(root_seed, index)
+            try:
+                cells, stats = gen_sudoku(n, RandomSource(attempt_seed), policy)
+                break
+            except BudgetExhaustedError:
+                if attempts == 1:
+                    raise
+        else:
             raise BudgetExhaustedError(
-                f"all {workers} parallel attempts exhausted their restart budgets"
+                f"all {attempts} parallel attempts exhausted their restart budgets"
             )
-        index, (cells, stats_dict) = winner
-        stats_dict["attempt_index"] = index
-        stats_dict["root_seed"] = root_seed
+        stats_dict = stats.to_dict()
+        if attempts > 1:
+            stats_dict.update(attempt_index=index, root_seed=root_seed)
 
     _emit(
         args.fmt,
@@ -502,8 +476,9 @@ _COMMANDS = {
                     dest="workers",
                     type=_POSITIVE,
                     default=1,
-                    help="Layered only. Independent attempts with derived seeds; "
-                    "lowest successful attempt index wins. " + _DEFAULT,
+                    help="Layered only. Independent attempts with derived seeds, run "
+                    "one after another; the first within its restart budget wins. "
+                    + _DEFAULT,
                 ),
             ),
             ("--stats", dict(dest="want_stats", action="store_true", help="Emit run stats as JSON.")),

@@ -9,9 +9,9 @@ Values are mapped to ``{1..k}`` by drawing the minimal number of bits
 and rejecting draws that land in the biased remainder range, so every
 value has probability exactly 1/k.
 
-Parallel workloads must not share a source; they derive independent
-child seeds from a root seed with :func:`derive_seed` (a splitmix64
-mix of the root and the worker index).
+Independent attempts must not share a source; they derive child seeds
+from a root seed with :func:`derive_seed` (a splitmix64 mix of the root
+and the attempt index).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def splitmix64(x: int) -> int:
 
 
 def derive_seed(root_seed: int, index: int) -> int:
-    """Child seed for worker ``index``, deterministic in (root, index)."""
+    """Child seed for attempt ``index``, deterministic in (root, index)."""
     if index < 0:
         raise ValueError(f"index must be >= 0, got {index}")
     return splitmix64((root_seed ^ splitmix64(index + 1)) & _MASK64)

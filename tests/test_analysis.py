@@ -139,6 +139,23 @@ class TestEstimate:
         assert str(estimated.value) == str(generated.value)
         assert estimated.value.expected_iterations == generated.value.expected_iterations
 
+    @pytest.mark.parametrize("n,digits", [(4, 177), (8, 4717)])
+    def test_unknown_sudoku_count_names_the_sample_space(self, n, digits):
+        with pytest.raises(InfeasibleError) as exc_info:
+            gen_sudoku_rejection(n, RandomSource(0))
+        assert str(exc_info.value) == (
+            f"the Sudoku-matrix count is unknown for order {n}; the layer-tuple "
+            f"sample space alone has {digits} decimal digits"
+        )
+
+    def test_unknown_sudoku_count_refused_without_a_factorial(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factorial({n}) built")
+
+        monkeypatch.setattr(analysis.math, "factorial", refuse)
+        with pytest.raises(InfeasibleError, match="unknown for order 100000;"):
+            gen_sudoku_rejection(10**5, RandomSource(0))
+
     def test_scripted_all_failures(self):
         # 100 attempts of (1, 1, 1), never a permutation of order 3
         src = ScriptedSource([1, 1, 1] * 100)

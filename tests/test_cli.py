@@ -12,10 +12,14 @@ from typing import NamedTuple
 import pytest
 
 from sudogen import (
+    RandomSource,
+    RestartPolicy,
     SigmaMatrix,
+    derive_seed,
     format_pi,
     format_sigma,
     format_sudoku,
+    gen_sudoku,
     is_permutation,
     is_pi,
     is_sigma,
@@ -270,7 +274,42 @@ class TestGenSudoku:
         )
         stats = json.loads(result.stdout)["stats"]
         assert stats["root_seed"] == 5
-        assert stats["attempt_index"] in (0, 1)
+        # order 2 never dead-ends, so attempt 0 always wins
+        assert stats["attempt_index"] == 0
+
+    def test_parallel_winner_is_the_first_attempt_within_budget(self):
+        # attempt 0 of root seed 3 dead-ends at order 3; attempt 1 does not
+        result = ok(
+            "gen-sudoku", "--n", "3", "--seed", "3", "--parallel", "2",
+            "--max-restarts", "0", "--stats", "--format", "json",
+        )
+        payload = json.loads(result.stdout)
+        cells, _ = gen_sudoku(3, RandomSource(derive_seed(3, 1)), RestartPolicy(max_restarts=0))
+        assert payload["cells"] == cells
+        assert payload["seed"] == 3
+        assert payload["stats"]["attempt_index"] == 1
+        assert payload["stats"]["seed"] == derive_seed(3, 1)
+
+    def test_parallel_attempts_all_exhausted(self):
+        result = run(
+            "gen-sudoku", "--n", "3", "--seed", "4", "--parallel", "3", "--max-restarts", "0"
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "error: all 3 parallel attempts exhausted their restart budgets\n"
+
+    def test_parallel_stops_at_the_first_success(self, monkeypatch):
+        # with no restart limit every attempt succeeds, so one is run
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return gen_sudoku(*args)
+
+        monkeypatch.setattr("sudogen.sudoku.gen_sudoku", counted)
+        ok("gen-sudoku", "--n", "2", "--seed", "5", "--parallel", "3")
+        assert len(calls) == 1
+        assert calls[0][1].seed == derive_seed(5, 0)
 
 
 class TestOnlyThePrintedFormatIsBuilt:

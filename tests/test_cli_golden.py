@@ -19,6 +19,7 @@ CHEAP = [
     "sudogen gen-perm --n 5 --seed 42 --algorithm rejection",
     "sudogen gen-sigma --n 3 --algorithm rejection",
     "sudogen gen-sudoku --n 3 --seed 7 --pretty --stats",
+    "sudogen gen-sudoku --n 3 --seed 3 --parallel 2 --max-restarts 0 --stats",
     "sudogen gen-pi --n 2 --seed 1 | sudogen map --phi | sudogen check --kind sigma",
     "sudogen gen-pi --n 8 --seed 3 | sudogen map --phi | sudogen map --phi-inverse",
     "sudogen gen-sudoku --n 4 --seed 2 | sudogen check --kind sudoku",

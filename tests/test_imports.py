@@ -94,10 +94,11 @@ class TestImportDiet:
         assert "sudogen.sudoku" in loaded
         assert sorted(loaded & set(PARSER_AND_DATACLASSES)) == []
 
-    def test_parallel_loads_the_sudoku_module_before_the_pool_forks(self):
-        # so the forked workers inherit it instead of each importing it
+    def test_parallel_runs_its_attempts_without_a_process_pool(self):
         args = ["gen-sudoku", "--n", "2", "--seed", "1", "--parallel", "2"]
-        assert "sudogen.sudoku" in loaded_modules(RUN_CLI, *args)
+        loaded = loaded_modules(RUN_CLI, *args)
+        assert "sudogen.sudoku" in loaded
+        assert sorted(loaded & {"concurrent.futures", "multiprocessing"}) == []
 
     @pytest.mark.parametrize("command", ["map --phi", "map --phi-inverse"])
     def test_map_does_not_load_the_sudoku_module(self, command):
