@@ -98,6 +98,13 @@ def _acceptance_terms(generator_id: str, n: int) -> tuple[int, int]:
     return SIGMA_COUNTS[n], (f ** (2 * n)) ** (n * n)
 
 
+# Bound on the relative error of the float log10 of the sudoku-rejection
+# sample space: lgamma, the division and the product each err by a few
+# ulps; against 60-digit decimal logs the whole stays below 4.2e-16 at
+# every order from 3 to 999 and at 210 orders from 1000 to 5.6e10.
+_LOG10_SPACE_REL_ERROR = 1e-14
+
+
 def _refuse(generator_id: str, n: int) -> None:
     # The one rule for requests no loop should start: orders below 1, and
     # blind sigma and Sudoku sampling from order 3 on, which would take
@@ -126,8 +133,15 @@ def _refuse(generator_id: str, n: int) -> None:
     try:
         accepted, space = _acceptance_terms(generator_id, n)
     except UnknownSigmaError:
-        # digits of ((n!)^(2n))^(n^2), without building it or n!
-        digits = math.floor(2 * n**3 * math.lgamma(n + 1) / math.log(10)) + 1
+        # digits of ((n!)^(2n))^(n^2), without building it or n!: the floor
+        # of log10 plus one, exact only where the float's error cannot
+        # move the floor
+        log10_space = 2 * n**3 * math.lgamma(n + 1) / math.log(10)
+        error = log10_space * _LOG10_SPACE_REL_ERROR
+        if math.floor(log10_space - error) == math.floor(log10_space + error):
+            digits = f"{math.floor(log10_space) + 1}"
+        else:
+            digits = f"about {log10_space + 1:.6g}"
         raise InfeasibleError(
             f"the Sudoku-matrix count is unknown for order {n}; the layer-tuple "
             f"sample space alone has {digits} decimal digits",

@@ -9,6 +9,9 @@ form a permutation (success probability n!/n^n per attempt), is
 
 from __future__ import annotations
 
+import functools
+from itertools import product
+
 from .rng import RandomSource
 
 
@@ -53,7 +56,11 @@ def gen_perm_direct(n: int, source: RandomSource, variant: str = "shift") -> lis
     variant deletes the chosen value by shifting the tail left one slot,
     which costs O(n) per draw and O(n^2) overall.  The "swap" variant
     instead moves the last live value into the hole, O(1) per draw; it
-    exists for benchmarking the difference.
+    exists for benchmarking the difference.  Orders up to 4 look their
+    permutation up in a table that the chosen variant's decode builds
+    once from all n! runs of draws, so the values are the same, but
+    ``bench --generator perm-direct`` at sizes 1-4 times a lookup; the
+    sizes whose slopes are gated (64 and up) still time the decode.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
@@ -62,10 +69,35 @@ def gen_perm_direct(n: int, source: RandomSource, variant: str = "shift") -> lis
     return _decode_perms(source.uniform_seq(range(n, 0, -1)), n, variant)[0]
 
 
+_TABLE_MAX_ORDER = 4  # largest order decoded through _perm_table
+
+
 def _decode_perms(xs: list[int], n: int, variant: str = "shift") -> list[list[int]]:
     # The permutations of 1..n that consecutive runs of n draws select.
     # In each run the draws come from {1..n}, {1..n-1}, ..., {1}, and
-    # each picks a position among the values not chosen yet.
+    # each picks a position among the values not chosen yet: the run is
+    # a Lehmer code.  Up to order 4 there are at most 24 runs, so each is
+    # looked up in the table _decode_loop built from all of them; larger
+    # orders run the loop itself.
+    if n > _TABLE_MAX_ORDER:
+        return _decode_loop(xs, n, variant)
+    runs = zip(*[iter(xs)] * n)
+    return list(map(list, map(_perm_table(n, variant).__getitem__, runs)))
+
+
+@functools.cache
+def _perm_table(n: int, variant: str) -> dict[tuple[int, ...], tuple[int, ...]]:
+    # Every run of n draws mapped to the permutation _decode_loop decodes
+    # from it; built once per (order, variant).
+    runs = list(product(*[range(1, k + 1) for k in range(n, 0, -1)]))
+    rows = _decode_loop([x for run in runs for x in run], n, variant)
+    return dict(zip(runs, map(tuple, rows)))
+
+
+def _decode_loop(xs: list[int], n: int, variant: str = "shift") -> list[list[int]]:
+    # _decode_perms without the table: the "shift" variant deletes each
+    # chosen value by shifting the tail left, the "swap" variant moves the
+    # last live value into its hole.
     swap = variant == "swap"
     rows = []
     pool = list(range(1, n + 1))

@@ -1,6 +1,7 @@
 """Acceptance-probability estimation and iteration-time benchmarks."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,27 @@ class TestEstimate:
         monkeypatch.setattr(analysis.math, "factorial", refuse)
         with pytest.raises(InfeasibleError, match="unknown for order 100000;"):
             gen_sudoku_rejection(10**5, RandomSource(0))
+
+    def test_unknown_sudoku_count_exact_where_the_float_cannot_move_it(self):
+        # 60-digit log10 of the sample space ((1000!)^2000)^(1000^2)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            log10_space = 2 * 1000**3 * Decimal(math.factorial(1000)).log10()
+        with pytest.raises(InfeasibleError) as exc_info:
+            gen_sudoku_rejection(1000, RandomSource(0))
+        assert str(exc_info.value).endswith(
+            f"sample space alone has {int(log10_space) + 1} decimal digits"
+        )
+
+    def test_unknown_sudoku_count_rounded_where_the_float_can_move_it(self):
+        # at n = 10^5 one ulp of the float log10 is 131,072 digits
+        log10_space = 2 * 10**15 * math.fsum(map(math.log10, range(1, 10**5 + 1)))
+        assert f"{log10_space + 1:.6g}" == "9.13147e+20"
+        with pytest.raises(InfeasibleError) as exc_info:
+            gen_sudoku_rejection(10**5, RandomSource(0))
+        assert str(exc_info.value).endswith(
+            "sample space alone has about 9.13147e+20 decimal digits"
+        )
 
     def test_scripted_all_failures(self):
         # 100 attempts of (1, 1, 1), never a permutation of order 3

@@ -1,19 +1,24 @@
 """Permutation check and generators: oracles, draw counts, statistics."""
 
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sudogen.perm as perm_mod
 from conftest import ScriptedSource
 from sudogen import (
     BudgetExhaustedError,
     RandomSource,
     gen_perm_direct,
     gen_perm_rejection,
+    gen_pi_direct,
     is_permutation,
 )
+from sudogen.perm import _decode_loop, _perm_table
+from sudogen.pi import _pi_draw_bounds
 
 
 class TestIsPermutation:
@@ -161,3 +166,50 @@ class TestDirectGenerator:
         assert len(counts) == 24
         for key, c in counts.items():
             assert abs(c - 100_000 / 24) <= 189.5, (key, c)
+
+
+class TestDecodeTable:
+    """Orders up to 4 decode through a table; it must change no value."""
+
+    @pytest.mark.parametrize("variant", ["shift", "swap"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_run_decodes_as_the_loop_does(self, n, variant):
+        runs = list(product(*[range(1, k + 1) for k in range(n, 0, -1)]))
+        table = _perm_table(n, variant)
+        assert set(table) == set(runs)
+        assert len(set(table.values())) == factorial(n)
+        for run in runs:
+            assert list(table[run]) == _decode_loop(list(run), n, variant)[0]
+
+    @pytest.mark.parametrize("variant", ["shift", "swap"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_seeded_generators_return_the_loop_rows(self, n, variant):
+        for gen, bounds in (
+            (gen_perm_direct, range(n, 0, -1)),
+            (gen_pi_direct, _pi_draw_bounds(n)),
+        ):
+            for seed in range(200):
+                src, ref = RandomSource(seed), RandomSource(seed)
+                rows = _decode_loop(ref.uniform_seq(bounds), n, variant)
+                got = gen(n, src, variant)
+                assert got == (rows if gen is gen_pi_direct else rows[0])
+                assert src.draws == ref.draws
+                assert src._getrandbits(32) == ref._getrandbits(32)
+
+    def test_rows_are_fresh_lists(self):
+        rows = gen_pi_direct(2, ScriptedSource([1, 1] * 4))
+        rows[0][0] = 99
+        assert rows[1] == [1, 2]
+        assert gen_perm_direct(2, ScriptedSource([1, 1])) == [1, 2]
+
+    def test_larger_orders_run_the_loop(self, monkeypatch):
+        # criterion 9 times the shift decode at sizes 64 and up
+        def refuse(n, variant):
+            raise AssertionError(f"table built for order {n}")
+
+        monkeypatch.setattr(perm_mod, "_perm_table", refuse)
+        assert is_permutation(gen_perm_direct(64, RandomSource(1)))
+        assert len(gen_pi_direct(64, RandomSource(1))) == 128
+        assert is_permutation(gen_perm_direct(5, RandomSource(1)))
+        with pytest.raises(AssertionError, match="table built for order 4"):
+            gen_perm_direct(4, RandomSource(1))
