@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 
 from .errors import MatrixParseError
-from .sigma import SigmaMatrix
+from .sigma import SigmaMatrix, _bit_rows
 
 _INT_RE = re.compile(r"[+-]?\d+")
 
@@ -103,13 +103,7 @@ def parse_pi(text: str) -> list[list[int]]:
 
 
 def format_sigma(matrix: SigmaMatrix) -> str:
-    side = matrix.side
-    # bit i * side + j is entry (i, j), so the reversed binary string
-    # reads the matrix row by row
-    bits = format(matrix.mask, f"0{side * side}b")[::-1]
-    return "\n".join(
-        " ".join(bits[i : i + side]) for i in range(0, side * side, side)
-    )
+    return "\n".join(" ".join(row) for row in _bit_rows(matrix))
 
 
 def parse_binary_matrix(text: str) -> list[list[int]]:

@@ -86,33 +86,36 @@ class SigmaMatrix:
         return cls.from_rows(rows)
 
     def ones(self) -> list[tuple[int, int]]:
-        """1-based (row, column) positions, sorted by row."""
-        side = self.side
-        out = []
-        mask = self.mask
-        for i in range(side):
-            row_bits = (mask >> (i * side)) & ((1 << side) - 1)
-            j = 0
-            while row_bits:
-                if row_bits & 1:
-                    out.append((i + 1, j + 1))
-                row_bits >>= 1
-                j += 1
-        return out
+        """1-based (row, column) positions, sorted by row.
+
+        Mask bits at or past n^4 lie outside the matrix and are ignored.
+        """
+        return [
+            (i, j)
+            for i, row in enumerate(_bit_rows(self), start=1)
+            for j, bit in enumerate(row, start=1)
+            if bit == "1"
+        ]
 
     def to_rows(self) -> list[list[int]]:
         """Dense 0/1 row lists."""
-        side = self.side
-        return [
-            [(self.mask >> (i * side + j)) & 1 for j in range(side)]
-            for i in range(side)
-        ]
+        return [list(map(int, row)) for row in _bit_rows(self)]
 
 
 # SigmaMatrix.__init__ fills its slots through their descriptors, which
 # costs less than object.__setattr__ and bypasses the refusing __setattr__.
 _set_n = SigmaMatrix.n.__set__
 _set_mask = SigmaMatrix.mask.__set__
+
+
+def _bit_rows(a: SigmaMatrix) -> list[str]:
+    # The n^2 rows of ``a`` as strings of "0"/"1": bit i * side + j is
+    # entry (i, j), so the reversed binary string reads the matrix row by
+    # row.  Bits at or past n^4 are masked off, as outside the matrix.
+    side = a.side
+    size = side * side
+    bits = format(a.mask & ((1 << size) - 1), f"0{size}b")[::-1]
+    return [bits[i : i + side] for i in range(0, size, side)]
 
 
 def block_order(rows: list[list[int]]) -> int:
@@ -131,10 +134,11 @@ def block_order(rows: list[list[int]]) -> int:
     return n
 
 
-# Orders that read their bits from _phi_bits.  Its n^4 masks of n^4 bits
-# take about 1 MB at n = 8 and grow as n^8 (270 MB at n = 16), so larger
-# orders compute each bit instead.
-_PHI_TABLE_MAX_ORDER = 8
+# Orders that read their bits from _phi_bits.  From order 5 on, building
+# the table (0.4 ms at n = 5, 2.2 ms at n = 8) costs more than it saves
+# until about 140-220 calls, and callers at those orders make about one
+# (gen-sigma, map --phi) to a hundred per process.
+_PHI_TABLE_MAX_ORDER = 4
 
 
 @functools.cache
@@ -187,28 +191,27 @@ def phi(rows: list[list[int]]) -> SigmaMatrix:
 def phi_inverse(a: SigmaMatrix) -> list[list[int]]:
     """Recover the unique pi matrix whose image is ``a``.
 
-    Scans each block for its 1 and writes both selector entries, then
-    validates the row-permutation invariants; any mask that is not a
-    valid block permutation matrix fails one of the two and raises
-    ValueError.
+    Reads each block, in row-major order, for its single 1 and writes
+    both selector entries, then validates the row-permutation
+    invariants; any mask that is not a valid block permutation matrix
+    fails one of the two and raises ValueError.  Bits of the mask at or
+    past n^4 lie outside the matrix and are ignored.
     """
     n = a.n
-    side = a.side
+    bit_rows = _bit_rows(a)
     rows = [[0] * n for _ in range(2 * n)]
     for s in range(n):
+        band = bit_rows[s * n : (s + 1) * n]
         for t in range(n):
-            hit = None
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    bit = (s * n + k - 1) * side + (t * n + l - 1)
-                    if (a.mask >> bit) & 1:
-                        if hit is not None:
-                            raise ValueError(f"block ({s + 1}, {t + 1}) has more than one 1")
-                        hit = (k, l)
-            if hit is None:
+            block = "".join(row[t * n : (t + 1) * n] for row in band)
+            count = block.count("1")
+            if count == 0:
                 raise ValueError(f"block ({s + 1}, {t + 1}) has no 1")
-            rows[s][t] = hit[0]
-            rows[n + t][s] = hit[1]
+            if count > 1:
+                raise ValueError(f"block ({s + 1}, {t + 1}) has more than one 1")
+            k, l = divmod(block.index("1"), n)
+            rows[s][t] = k + 1
+            rows[n + t][s] = l + 1
     for i, row in enumerate(rows, start=1):
         if not _is_perm_trusted(row, n):
             raise ValueError(f"input is not a block permutation matrix (row {i} conflict)")

@@ -104,6 +104,7 @@ def compose(layers: list[SigmaMatrix]) -> list[list[int]]:
                 position=(i + 1, j + 1),
             )
         acc |= mask
+        # set bits, not sigma._bit_rows: cheaper on the layered order-2 hot path
         while mask:
             low = mask & -mask
             flat[low.bit_length() - 1] = k
@@ -437,9 +438,7 @@ def gen_sudoku(
     dead-ended stack is restarted or backtracked as the policy says.  When
     backtracking, a draw that hits a layer which already dead-ended the
     same stack is redrawn, and a stack all of whose layers dead-ended is a
-    dead end in turn.  Seeds at n >= 3 give other matrices than in
-    versions that drew deep layers blindly, though each step's law is
-    unchanged.
+    dead end in turn.
 
     Orders above 4 raise InfeasibleError before anything is built: one
     count of the layers that fit an order-5 stack takes about 30 s and

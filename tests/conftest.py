@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from sudogen import enumerate_pi, iter_sudoku, phi
+from sudogen import SigmaMatrix, enumerate_pi, iter_sudoku, phi
 
 
 class ScriptedSource:
@@ -42,6 +42,69 @@ class ScriptedSource:
     @property
     def exhausted(self) -> bool:
         return self.pos == len(self.values)
+
+
+def reference_to_rows(a):
+    """Per-bit reading of a sigma mask: entry (i, j) is bit i * side + j,
+    so bits at or past n^4 are never read."""
+    side = a.n * a.n
+    return [[(a.mask >> (i * side + j)) & 1 for j in range(side)] for i in range(side)]
+
+
+def reference_ones(a):
+    rows = reference_to_rows(a)
+    return [(i + 1, j + 1) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+
+
+def reference_format_sigma(a):
+    return "\n".join(" ".join(str(v) for v in row) for row in reference_to_rows(a))
+
+
+def reference_phi_inverse(a):
+    """Blocks in row-major order, each scanned entry by entry for its
+    single 1, then every row of the pi matrix checked to be a permutation."""
+    n = a.n
+    dense = reference_to_rows(a)
+    rows = [[0] * n for _ in range(2 * n)]
+    for s in range(n):
+        for t in range(n):
+            hits = [
+                (k, l)
+                for k in range(1, n + 1)
+                for l in range(1, n + 1)
+                if dense[s * n + k - 1][t * n + l - 1]
+            ]
+            if not hits:
+                raise ValueError(f"block ({s + 1}, {t + 1}) has no 1")
+            if len(hits) > 1:
+                raise ValueError(f"block ({s + 1}, {t + 1}) has more than one 1")
+            rows[s][t], rows[n + t][s] = hits[0]
+    for i, row in enumerate(rows, start=1):
+        if sorted(row) != list(range(1, n + 1)):
+            raise ValueError(f"input is not a block permutation matrix (row {i} conflict)")
+    return rows
+
+
+def _malformed_sigma():
+    valid2 = phi([[1, 2], [2, 1], [1, 2], [2, 1]]).mask
+    valid3 = phi([[1, 2, 3], [2, 3, 1], [3, 1, 2], [1, 2, 3], [3, 1, 2], [2, 3, 1]]).mask
+    low3 = valid3 & -valid3  # the 1 of block (1, 1) at order 3
+    return {
+        "empty-block-2": SigmaMatrix(2, 0),
+        "empty-block-3": SigmaMatrix(3, valid3 ^ low3),
+        "doubled-block-2": SigmaMatrix(2, 0b11),
+        "doubled-block-3": SigmaMatrix(3, valid3 | low3 << 1),
+        # block (1, 2) emptied and its 1 moved into block (2, 1)
+        "empty-before-doubled-2": SigmaMatrix(2, valid2 ^ 1 << 7 | 1 << 8),
+        "row-conflict-2": SigmaMatrix(2, (1 << 0) | (1 << 6) | (1 << 8) | (1 << 14)),
+        "bits-past-n4-2": SigmaMatrix(2, valid2 | 1 << 16 | 1 << 100),
+        "bits-past-n4-3": SigmaMatrix(3, valid3 | 1 << 81),
+    }
+
+
+# Masks that are not block permutation matrices of their order, or carry
+# bits outside the n^2 x n^2 grid, keyed by what is wrong with them.
+MALFORMED_SIGMA = _malformed_sigma()
 
 
 def as_key(cells):

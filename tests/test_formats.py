@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import MALFORMED_SIGMA, reference_format_sigma
 from sudogen import (
     MatrixParseError,
     RandomSource,
@@ -242,11 +243,6 @@ def test_sigma_text_round_trip_generated(n, seed):
     assert SigmaMatrix.from_rows(parse_binary_matrix(format_sigma(m))).mask == m.mask
 
 
-def reference_format_sigma(matrix):
-    # one str() per entry of the dense rows: what format_sigma must print
-    return "\n".join(" ".join(str(v) for v in row) for row in matrix.to_rows())
-
-
 def reference_bit_rows(text):
     """Token-by-token reading of 0/1 rows: each token must be an integer,
     then each value 0 or 1; errors give 1-based line and token."""
@@ -278,10 +274,15 @@ class TestSigmaTextMatchesReference:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_seeded_orders(self, n):
-        # order 9 is past the _phi_bits table, so its masks are computed
+        # orders 5 to 9 are past the _phi_bits table, so their masks are computed
         for seed in range(3):
             m = phi(gen_pi_direct(n, RandomSource(seed)))
             assert format_sigma(m) == reference_format_sigma(m)
+
+    @pytest.mark.parametrize("name", MALFORMED_SIGMA)
+    def test_malformed_masks(self, name):
+        m = MALFORMED_SIGMA[name]
+        assert format_sigma(m) == reference_format_sigma(m)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     def test_decompose_layers(self, n):

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ScriptedSource
+from conftest import (
+    MALFORMED_SIGMA,
+    ScriptedSource,
+    reference_ones,
+    reference_phi_inverse,
+    reference_to_rows,
+)
 from sudogen import (
     BudgetExhaustedError,
     InfeasibleError,
@@ -24,7 +30,7 @@ from sudogen import (
     phi_inverse,
     sigma_disjoint,
 )
-from sudogen.sigma import block_order
+from sudogen.sigma import _phi_bits, block_order
 
 
 def perm_matrix(p):
@@ -117,15 +123,21 @@ class TestPhi:
         assert len(filtered) == 16
 
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9])
     def test_image_has_the_selected_ones(self, n):
-        # orders up to 8 read their bits from a cached table, larger
+        # orders up to 4 read their bits from a cached table, larger
         # orders compute them
         rows = gen_pi_direct(n, RandomSource(n))
         ones = [
             (s * n + rows[s][t], t * n + rows[n + t][s]) for s in range(n) for t in range(n)
         ]
         assert phi(rows) == SigmaMatrix.from_ones(n, ones)
+
+    def test_order_six_builds_no_table(self):
+        # a table of order 6 would cost more to build than one call saves
+        before = _phi_bits.cache_info()
+        phi(gen_pi_direct(6, RandomSource(6)))
+        assert _phi_bits.cache_info() == before
 
 
 class TestPhiInverse:
@@ -146,6 +158,10 @@ class TestPhiInverse:
         rows = gen_pi_direct(n, RandomSource(seed))
         assert phi_inverse(phi(rows)) == rows
 
+    def test_round_trip_order_24(self):
+        rows = gen_pi_direct(24, RandomSource(24))
+        assert phi_inverse(phi(rows)) == rows
+
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError):
             phi_inverse(SigmaMatrix(2, 0))
@@ -160,6 +176,50 @@ class TestPhiInverse:
         bad = SigmaMatrix(2, (1 << 0) | (1 << 6) | (1 << 8) | (1 << 14))
         with pytest.raises(ValueError):
             phi_inverse(bad)
+
+
+READERS = [
+    pytest.param(SigmaMatrix.ones, reference_ones, id="ones"),
+    pytest.param(SigmaMatrix.to_rows, reference_to_rows, id="to_rows"),
+    pytest.param(phi_inverse, reference_phi_inverse, id="phi_inverse"),
+]
+
+
+class TestReadersMatchReference:
+    """The mask readers against the per-bit readers of the test suite:
+    same values, or the same ValueError messages."""
+
+    @pytest.mark.parametrize("read, reference", READERS)
+    def test_every_order_two_matrix(self, sigma16, read, reference):
+        for m in sigma16:
+            assert read(m) == reference(m)
+
+    @pytest.mark.parametrize("read, reference", READERS)
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_seeded_orders(self, n, read, reference):
+        for seed in range(3):
+            m = phi(gen_pi_direct(n, RandomSource(seed)))
+            assert read(m) == reference(m)
+
+    @pytest.mark.parametrize("read, reference", READERS)
+    @pytest.mark.parametrize("name", MALFORMED_SIGMA)
+    def test_malformed_masks(self, name, read, reference):
+        m = MALFORMED_SIGMA[name]
+        assert outcome(read, m) == outcome(reference, m)
+
+    @pytest.mark.parametrize(
+        "name, error",
+        [
+            ("empty-block-2", "block (1, 1) has no 1"),
+            ("empty-block-3", "block (1, 1) has no 1"),
+            ("doubled-block-2", "block (1, 1) has more than one 1"),
+            ("doubled-block-3", "block (1, 1) has more than one 1"),
+            ("empty-before-doubled-2", "block (1, 2) has no 1"),
+            ("row-conflict-2", "input is not a block permutation matrix (row 3 conflict)"),
+        ],
+    )
+    def test_phi_inverse_names_the_first_fault(self, name, error):
+        assert outcome(phi_inverse, MALFORMED_SIGMA[name]) == f"ValueError: {error}"
 
 
 class TestIsSigma:
