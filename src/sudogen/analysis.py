@@ -452,13 +452,12 @@ def bench_tau(
     sizes: list[int],
     repetitions: int = 30,
     source: RandomSource | None = None,
-    warmup: int = 2,
 ) -> BenchReport:
     """Time one attempt per size: median, MAD, and log-log slope.
 
     An attempt is the generator's check half applied to its draw half,
-    the body of the loop the generator runs.  Each size gets ``warmup``
-    discarded runs followed by ``repetitions`` timed runs on the
+    the body of the loop the generator runs.  Each size gets two
+    discarded warm-up runs followed by ``repetitions`` timed runs on the
     monotonic clock; the table reports the median and the median
     absolute deviation.  With at least two distinct sizes a
     least-squares line through (log2 n, log2 median) gives the scaling
@@ -478,7 +477,7 @@ def bench_tau(
     points = []
     for n in sizes:
         body = _bench_body(generator_id, n, source)
-        for _ in range(warmup):
+        for _ in range(2):
             body()
         times = []
         for _ in range(repetitions):

@@ -104,13 +104,7 @@ def _generate(args, direct, rejection: str, to_text, to_json) -> None:
 
 def gen_perm_cmd(args):
     """Generate one random permutation of 1..n."""
-    _generate(
-        args,
-        lambda n, source: gen_perm_direct(n, source, variant=args.variant),
-        "gen_perm_rejection",
-        format_perm,
-        perm_json,
-    )
+    _generate(args, gen_perm_direct, "gen_perm_rejection", format_perm, perm_json)
 
 
 def gen_pi_cmd(args):
@@ -409,14 +403,6 @@ _COMMANDS = {
             _N,
             _SEED_OPTION,
             _algorithm(_DIRECT_OR_REJECTION),
-            (
-                "--variant",
-                dict(
-                    choices=["shift", "swap"],
-                    default="shift",
-                    help="Deletion strategy of the direct algorithm. " + _DEFAULT,
-                ),
-            ),
             _MAX_ITERATIONS,
             _TEXT_OR_JSON,
         ],

@@ -48,31 +48,27 @@ def _is_perm_trusted(values: list[int], n: int) -> bool:
     return True
 
 
-def gen_perm_direct(n: int, source: RandomSource, variant: str = "shift") -> list[int]:
+def gen_perm_direct(n: int, source: RandomSource) -> list[int]:
     """Uniform random permutation from exactly n draws, never rejecting.
 
     Draw k selects position x in the remaining pool of n-k+1 values; the
-    n draws are made in one ``uniform_seq`` call.  The default "shift"
-    variant deletes the chosen value by shifting the tail left one slot,
-    which costs O(n) per draw and O(n^2) overall.  The "swap" variant
-    instead moves the last live value into the hole, O(1) per draw; it
-    exists for benchmarking the difference.  Orders up to 4 look their
-    permutation up in a table that the chosen variant's decode builds
-    once from all n! runs of draws, so the values are the same, but
-    ``bench --generator perm-direct`` at sizes 1-4 times a lookup; the
-    sizes whose slopes are gated (64 and up) still time the decode.
+    n draws are made in one ``uniform_seq`` call.  The chosen value is
+    deleted by shifting the tail left one slot, which costs O(n) per draw
+    and O(n^2) overall.  Orders up to 4 look their permutation up in a
+    table that this decode builds once from all n! runs of draws, so the
+    values are the same, but ``bench --generator perm-direct`` at sizes
+    1-4 times a lookup; the sizes whose slopes are gated (64 and up)
+    still time the decode.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if variant not in ("shift", "swap"):
-        raise ValueError(f"unknown variant {variant!r}")
-    return _decode_perms(source.uniform_seq(range(n, 0, -1)), n, variant)[0]
+    return _decode_perms(source.uniform_seq(range(n, 0, -1)), n)[0]
 
 
 _TABLE_MAX_ORDER = 4  # largest order decoded through _perm_table
 
 
-def _decode_perms(xs: list[int], n: int, variant: str = "shift") -> list[list[int]]:
+def _decode_perms(xs: list[int], n: int) -> list[list[int]]:
     # The permutations of 1..n that consecutive runs of n draws select.
     # In each run the draws come from {1..n}, {1..n-1}, ..., {1}, and
     # each picks a position among the values not chosen yet: the run is
@@ -80,25 +76,23 @@ def _decode_perms(xs: list[int], n: int, variant: str = "shift") -> list[list[in
     # looked up in the table _decode_loop built from all of them; larger
     # orders run the loop itself.
     if n > _TABLE_MAX_ORDER:
-        return _decode_loop(xs, n, variant)
+        return _decode_loop(xs, n)
     runs = zip(*[iter(xs)] * n)
-    return list(map(list, map(_perm_table(n, variant).__getitem__, runs)))
+    return list(map(list, map(_perm_table(n).__getitem__, runs)))
 
 
 @functools.cache
-def _perm_table(n: int, variant: str) -> dict[tuple[int, ...], tuple[int, ...]]:
+def _perm_table(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     # Every run of n draws mapped to the permutation _decode_loop decodes
-    # from it; built once per (order, variant).
+    # from it; built once per order.
     runs = list(product(*[range(1, k + 1) for k in range(n, 0, -1)]))
-    rows = _decode_loop([x for run in runs for x in run], n, variant)
+    rows = _decode_loop([x for run in runs for x in run], n)
     return dict(zip(runs, map(tuple, rows)))
 
 
-def _decode_loop(xs: list[int], n: int, variant: str = "shift") -> list[list[int]]:
-    # _decode_perms without the table: the "shift" variant deletes each
-    # chosen value by shifting the tail left, the "swap" variant moves the
-    # last live value into its hole.
-    swap = variant == "swap"
+def _decode_loop(xs: list[int], n: int) -> list[list[int]]:
+    # _decode_perms without the table: each chosen value is deleted by
+    # shifting the tail of the pool left one slot.
     rows = []
     pool = list(range(1, n + 1))
     live = 0  # values not chosen yet in the current run
@@ -109,10 +103,7 @@ def _decode_loop(xs: list[int], n: int, variant: str = "shift") -> list[list[int
             out = []
             rows.append(out)
         out.append(v[x - 1])
-        if swap:
-            v[x - 1] = v[live - 1]
-        else:
-            for j in range(x - 1, live - 1):
-                v[j] = v[j + 1]
+        for j in range(x - 1, live - 1):
+            v[j] = v[j + 1]
         live -= 1
     return rows

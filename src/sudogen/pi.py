@@ -48,18 +48,16 @@ def is_pi(rows: list[list[int]]) -> bool:
     return True
 
 
-def gen_pi_direct(n: int, source: RandomSource, variant: str = "shift") -> list[list[int]]:
+def gen_pi_direct(n: int, source: RandomSource) -> list[list[int]]:
     """Uniform random pi matrix: one direct permutation per row, no rejection.
 
     All 2n^2 draws are made in one ``uniform_seq`` call, row after row in
     the order ``gen_perm_direct`` would make them, and each row is decoded
-    as that function decodes its draws.
+    as that function decodes its draws, by the shift deletion.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if variant not in ("shift", "swap"):
-        raise ValueError(f"unknown variant {variant!r}")
-    return _decode_perms(source.uniform_seq(_pi_draw_bounds(n)), n, variant)
+    return _decode_perms(source.uniform_seq(_pi_draw_bounds(n)), n)
 
 
 @functools.cache

@@ -56,7 +56,7 @@ class RandomSource:
     def __init__(self, seed: int | None = None):
         if seed is None:
             seed = entropy_seed()
-        if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _MASK64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
         self.seed = seed
         self.draws = 0

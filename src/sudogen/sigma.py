@@ -14,7 +14,6 @@ single integer AND.  Blind bit-sampling, ``gen_sigma_rejection``, is in
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Iterator
 
@@ -134,39 +133,9 @@ def block_order(rows: list[list[int]]) -> int:
     return n
 
 
-# Orders that read their bits from _phi_bits.  From order 5 on, building
-# the table (0.4 ms at n = 5, 2.2 ms at n = 8) costs more than it saves
-# until about 140-220 calls, and callers at those orders make about one
-# (gen-sigma, map --phi) to a hundred per process.
-_PHI_TABLE_MAX_ORDER = 4
-
-
-@functools.cache
-def _phi_bits(n: int) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
-    # [s][t][k - 1][l - 1]: the single bit of in-block position (k, l) of
-    # block (s, t), for every block and position of order n.
-    side = n * n
-    return tuple(
-        tuple(
-            tuple(
-                tuple(1 << ((s * n + k) * side + t * n + l) for l in range(n))
-                for k in range(n)
-            )
-            for t in range(n)
-        )
-        for s in range(n)
-    )
-
-
 def _phi_mask(rows: list[list[int]], n: int) -> int:
     # Trusted hot path: caller guarantees rows is a valid pi matrix.
     mask = 0
-    if n <= _PHI_TABLE_MAX_ORDER:
-        for s, bits_s in enumerate(_phi_bits(n)):
-            row_s = rows[s]
-            for t, bits_st in enumerate(bits_s):
-                mask |= bits_st[row_s[t] - 1][rows[n + t][s] - 1]
-        return mask
     side = n * n
     for s in range(n):
         row_s = rows[s]

@@ -400,6 +400,11 @@ class TestBench:
         assert d["slope_ci95"] == list(report.ci95())
         assert d["seed"] == 9
 
+    def test_two_warm_up_runs_before_the_timed_ones(self):
+        src = RandomSource(1)
+        bench_tau("perm-direct", [5], repetitions=3, source=src)
+        assert src.draws == (2 + 3) * 5
+
     def test_default_source_records_its_seed(self):
         report = bench_tau("perm-direct", [4], repetitions=2)
         assert report.seed is not None

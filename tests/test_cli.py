@@ -107,11 +107,10 @@ class TestGenPerm:
         payload = json.loads(as_json.stdout)
         assert payload["iterations"] >= 1
 
-    def test_swap_variant_differs(self):
-        shift = ok("gen-perm", "--n", "6", "--seed", "3", "--variant", "shift")
-        swap = ok("gen-perm", "--n", "6", "--seed", "3", "--variant", "swap")
-        assert is_permutation(parse_perm(swap.stdout))
-        assert shift.stdout != swap.stdout
+    def test_variant_option_is_gone(self):
+        result = run("gen-perm", "--n", "6", "--seed", "3", "--variant", "swap")
+        assert result.exit_code == 2
+        assert "error: unrecognized arguments: --variant swap" in result.stderr
 
     def test_usage_errors(self):
         assert run("gen-perm").exit_code == 2  # missing --n

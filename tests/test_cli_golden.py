@@ -17,7 +17,6 @@ GOLDEN = ROOT / "scripts" / "cli_golden.json"
 CHEAP = [
     "sudogen gen-perm --n 8 --seed 42",
     "sudogen gen-perm --n 5 --seed 42 --algorithm rejection",
-    "sudogen gen-perm --n 4 --variant swap --seed 11",
     "sudogen gen-pi --n 4 --seed 5",
     "sudogen gen-sigma --n 3 --algorithm rejection",
     "sudogen gen-sudoku --n 3 --seed 7 --pretty --stats",
@@ -39,6 +38,25 @@ def golden():
 def test_golden_file_covers_the_readme_examples(golden):
     assert list(golden) == cli_golden.readme_examples(cli_golden.README)
     assert set(CHEAP) <= set(golden)
+
+
+def readme_python_blocks():
+    # the README's ``python`` blocks, read as readme_examples reads ``sh`` ones
+    blocks, block = [], None
+    for line in cli_golden.README.read_text().splitlines():
+        if line.startswith("```"):
+            if block is not None:
+                blocks.append("\n".join(block))
+            block = [] if line.strip() == "```python" else None
+        elif block is not None:
+            block.append(line)
+    return blocks
+
+
+def test_readme_library_block_runs():
+    blocks = readme_python_blocks()
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def test_unseeded_commands_get_a_fixed_seed():

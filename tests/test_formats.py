@@ -274,7 +274,7 @@ class TestSigmaTextMatchesReference:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_seeded_orders(self, n):
-        # orders 5 to 9 are past the _phi_bits table, so their masks are computed
+        # orders 1 to 9, including sides whose rows span several machine words
         for seed in range(3):
             m = phi(gen_pi_direct(n, RandomSource(seed)))
             assert format_sigma(m) == reference_format_sigma(m)

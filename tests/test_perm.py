@@ -114,10 +114,6 @@ class TestDirectGenerator:
         # pool [1,2,3]: take 2 -> [1,3]; take 3 -> [1]; take 1
         assert gen_perm_direct(3, ScriptedSource([2, 2, 1])) == [2, 3, 1]
 
-    def test_hand_executed_swap_variant(self):
-        # pool [1,2,3]: take 1, last fills hole -> [3,2]; take 3 -> [2]; take 2
-        assert gen_perm_direct(3, ScriptedSource([1, 1, 1]), variant="swap") == [1, 3, 2]
-
     def test_draw_sizes_shrink_by_one(self):
         src = ScriptedSource([1] * 6)
         gen_perm_direct(6, src)
@@ -131,18 +127,15 @@ class TestDirectGenerator:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             gen_perm_direct(0, RandomSource(0))
-        with pytest.raises(ValueError):
-            gen_perm_direct(3, RandomSource(0), variant="magic")
 
     @given(
         n=st.integers(min_value=1, max_value=64),
         seed=st.integers(min_value=0, max_value=2**64 - 1),
-        variant=st.sampled_from(["shift", "swap"]),
     )
     @settings(max_examples=100)
-    def test_always_a_permutation(self, n, seed, variant):
+    def test_always_a_permutation(self, n, seed):
         src = RandomSource(seed)
-        assert is_permutation(gen_perm_direct(n, src, variant=variant))
+        assert is_permutation(gen_perm_direct(n, src))
         assert src.draws == n
 
     @given(
@@ -171,27 +164,26 @@ class TestDirectGenerator:
 class TestDecodeTable:
     """Orders up to 4 decode through a table; it must change no value."""
 
-    @pytest.mark.parametrize("variant", ["shift", "swap"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_every_run_decodes_as_the_loop_does(self, n, variant):
+    # the ids name the decode these tests exercise: the shift deletion
+    @pytest.mark.parametrize("n", [1, 2, 3, 4], ids="{}-shift".format)
+    def test_every_run_decodes_as_the_loop_does(self, n):
         runs = list(product(*[range(1, k + 1) for k in range(n, 0, -1)]))
-        table = _perm_table(n, variant)
+        table = _perm_table(n)
         assert set(table) == set(runs)
         assert len(set(table.values())) == factorial(n)
         for run in runs:
-            assert list(table[run]) == _decode_loop(list(run), n, variant)[0]
+            assert list(table[run]) == _decode_loop(list(run), n)[0]
 
-    @pytest.mark.parametrize("variant", ["shift", "swap"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_seeded_generators_return_the_loop_rows(self, n, variant):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4], ids="{}-shift".format)
+    def test_seeded_generators_return_the_loop_rows(self, n):
         for gen, bounds in (
             (gen_perm_direct, range(n, 0, -1)),
             (gen_pi_direct, _pi_draw_bounds(n)),
         ):
             for seed in range(200):
                 src, ref = RandomSource(seed), RandomSource(seed)
-                rows = _decode_loop(ref.uniform_seq(bounds), n, variant)
-                got = gen(n, src, variant)
+                rows = _decode_loop(ref.uniform_seq(bounds), n)
+                got = gen(n, src)
                 assert got == (rows if gen is gen_pi_direct else rows[0])
                 assert src.draws == ref.draws
                 assert src._getrandbits(32) == ref._getrandbits(32)
@@ -204,7 +196,7 @@ class TestDecodeTable:
 
     def test_larger_orders_run_the_loop(self, monkeypatch):
         # criterion 9 times the shift decode at sizes 64 and up
-        def refuse(n, variant):
+        def refuse(n):
             raise AssertionError(f"table built for order {n}")
 
         monkeypatch.setattr(perm_mod, "_perm_table", refuse)

@@ -91,13 +91,13 @@ class TestDirectGenerator:
         assert all(len(row) == 5 for row in rows)
         assert src.draws == 2 * 5 * 5
 
-    @pytest.mark.parametrize("variant", ["shift", "swap"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 7])
-    def test_rows_are_direct_permutations_of_one_stream(self, n, variant):
+    # the ids name the decode each row goes through: the shift deletion
+    @pytest.mark.parametrize("n", [1, 2, 3, 7], ids="{}-shift".format)
+    def test_rows_are_direct_permutations_of_one_stream(self, n):
         batched = RandomSource(n)
         single = RandomSource(n)
-        rows = gen_pi_direct(n, batched, variant)
-        assert rows == [gen_perm_direct(n, single, variant) for _ in range(2 * n)]
+        rows = gen_pi_direct(n, batched)
+        assert rows == [gen_perm_direct(n, single) for _ in range(2 * n)]
         assert batched.draws == single.draws
         assert batched.uniform_int(2**30) == single.uniform_int(2**30)
 

@@ -49,6 +49,9 @@ def test_seed_validation():
         RandomSource(1.5)
     with pytest.raises(ValueError):
         RandomSource("42")
+    for flag in (True, False):
+        with pytest.raises(ValueError):
+            RandomSource(flag)
     assert RandomSource(0).seed == 0
     assert RandomSource(2**64 - 1).seed == 2**64 - 1
 

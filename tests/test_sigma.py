@@ -30,7 +30,7 @@ from sudogen import (
     phi_inverse,
     sigma_disjoint,
 )
-from sudogen.sigma import _phi_bits, block_order
+from sudogen.sigma import block_order
 
 
 def perm_matrix(p):
@@ -125,19 +125,12 @@ class TestPhi:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9])
     def test_image_has_the_selected_ones(self, n):
-        # orders up to 4 read their bits from a cached table, larger
-        # orders compute them
+        # every order computes each block's bit by the same formula
         rows = gen_pi_direct(n, RandomSource(n))
         ones = [
             (s * n + rows[s][t], t * n + rows[n + t][s]) for s in range(n) for t in range(n)
         ]
         assert phi(rows) == SigmaMatrix.from_ones(n, ones)
-
-    def test_order_six_builds_no_table(self):
-        # a table of order 6 would cost more to build than one call saves
-        before = _phi_bits.cache_info()
-        phi(gen_pi_direct(6, RandomSource(6)))
-        assert _phi_bits.cache_info() == before
 
 
 class TestPhiInverse:
