@@ -77,7 +77,6 @@ _EXPORTS = {
         "SIGMA_COUNTS",
         "DisjointStack",
         "GenStats",
-        "RestartPolicy",
         "compose",
         "decompose",
         "enumerate_sudoku",

@@ -131,19 +131,21 @@ def gen_sudoku_cmd(args):
     forces the last one.  Orders above 4 are refused with exit 3.
     """
     n, seed, attempts = args.n, args.seed, args.workers
-    # an option the chosen algorithm does not read is a usage error, not
-    # silently dropped
-    if args.algorithm == "rejection":
-        unread = {
+    # an option the run does not read is a usage error, not silently
+    # dropped; keyed by the choice that leaves it unread
+    unread = {
+        "--algorithm rejection": {
             "--policy": args.policy_mode != "restart",
             "--max-restarts": args.max_restarts is not None,
             "--parallel": attempts != 1,
-        }
-    else:
-        unread = {"--max-iterations": args.max_iterations is not None}
-    for option, given in unread.items():
-        if given:
-            args.parser.error(f"{option} does not apply to --algorithm {args.algorithm}")
+        },
+        "--algorithm layered": {"--max-iterations": args.max_iterations is not None},
+        "--policy backtrack": {"--max-restarts": args.max_restarts is not None},
+    }
+    for choice in (f"--algorithm {args.algorithm}", f"--policy {args.policy_mode}"):
+        for option, given in unread.get(choice, {}).items():
+            if given:
+                args.parser.error(f"{option} does not apply to {choice}")
     if args.algorithm == "rejection":
         from .analysis import gen_sudoku_rejection
 
@@ -152,9 +154,9 @@ def gen_sudoku_cmd(args):
         root_seed = source.seed
         stats_dict = {"iterations": iterations, "seed": root_seed}
     else:
-        from .sudoku import RestartPolicy, gen_sudoku
+        from .sudoku import gen_sudoku
 
-        policy = RestartPolicy(mode=args.policy_mode, max_restarts=args.max_restarts)
+        policy, max_restarts = args.policy_mode, args.max_restarts
         root_seed = seed if seed is not None else entropy_seed()
         # --parallel K runs attempts 0, 1, ... one after another on seeds
         # derived from the root, and the first within its restart budget
@@ -162,7 +164,9 @@ def gen_sudoku_cmd(args):
         for index in range(attempts):
             attempt_seed = root_seed if attempts == 1 else derive_seed(root_seed, index)
             try:
-                cells, stats = gen_sudoku(n, RandomSource(attempt_seed), policy)
+                cells, stats = gen_sudoku(
+                    n, RandomSource(attempt_seed), policy=policy, max_restarts=max_restarts
+                )
                 break
             except BudgetExhaustedError:
                 if attempts == 1:
@@ -451,8 +455,8 @@ _COMMANDS = {
                 dict(
                     type=_int_range(0),
                     default=None,
-                    help="Layered only. Full restarts allowed before giving up with "
-                    "exit 3 [default: no limit].",
+                    help="Layered only. Full restarts allowed under --policy restart "
+                    "before giving up with exit 3 [default: no limit].",
                 ),
             ),
             _MAX_ITERATIONS,

@@ -29,10 +29,16 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _check_u64(name: str, value) -> None:
+    # bool is an int, and splitmix64 would fold -1 and 2**64 onto valid seeds
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= _MASK64:
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+
+
 def derive_seed(root_seed: int, index: int) -> int:
     """Child seed for attempt ``index``, deterministic in (root, index)."""
-    if index < 0:
-        raise ValueError(f"index must be >= 0, got {index}")
+    _check_u64("seed", root_seed)
+    _check_u64("index", index)
     return splitmix64((root_seed ^ splitmix64(index + 1)) & _MASK64)
 
 
@@ -56,8 +62,7 @@ class RandomSource:
     def __init__(self, seed: int | None = None):
         if seed is None:
             seed = entropy_seed()
-        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _MASK64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+        _check_u64("seed", seed)
         self.seed = seed
         self.draws = 0
         self._getrandbits = random.Random(seed).getrandbits

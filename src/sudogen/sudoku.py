@@ -174,46 +174,6 @@ class DisjointStack:
         self.mask = 0
 
 
-class RestartPolicy:
-    """Dead-end handling for the layered generator.
-
-    A stack is a dead end when no layer fits it.  Then either the whole
-    stack is discarded (mode "restart") or only the most recent accepted
-    layer is dropped, and is no longer picked for the stack below it
-    (mode "backtrack").  ``max_restarts`` bounds full restarts; when
-    exceeded the generator raises BudgetExhaustedError with partial stats
-    attached.  Immutable and hashable, like :class:`SigmaMatrix`.
-    """
-
-    __slots__ = ("mode", "max_restarts")
-
-    def __init__(self, mode: str = "restart", max_restarts: int | None = None):
-        if mode not in ("restart", "backtrack"):
-            raise ValueError(f"unknown policy mode {mode!r}")
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "max_restarts", max_restarts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.mode, self.max_restarts) == (other.mode, other.max_restarts)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.mode, self.max_restarts))
-
-    def __repr__(self) -> str:
-        return f"RestartPolicy(mode={self.mode!r}, max_restarts={self.max_restarts!r})"
-
-    def __reduce__(self):
-        return RestartPolicy, (self.mode, self.max_restarts)
-
-
 class GenStats:
     """Versioned per-run statistics of the layered generator.
 
@@ -248,7 +208,6 @@ class GenStats:
         wall_time_s: float = 0.0,
         gen_time_s: float = 0.0,
         check_time_s: float = 0.0,
-        schema_version: int = STATS_SCHEMA_VERSION,
     ):
         self.n = n
         self.seed = seed
@@ -259,7 +218,7 @@ class GenStats:
         self.wall_time_s = wall_time_s
         self.gen_time_s = gen_time_s
         self.check_time_s = check_time_s
-        self.schema_version = schema_version
+        self.schema_version = STATS_SCHEMA_VERSION
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -405,17 +364,12 @@ def _pick_table(n: int, free: int) -> tuple[int, Callable[[int], int]]:
     return len(fits), lambda r: fits[r - 1]
 
 
-# The policy of a call that passes none; RestartPolicy is immutable, so one
-# instance serves them all.
-_DEFAULT_POLICY = RestartPolicy()
-# The dead layers of every depth in restart mode: none.
-_NONE_DEAD: frozenset[int] = frozenset()
-
-
 def gen_sudoku(
     n: int,
     source: RandomSource,
-    policy: RestartPolicy | None = None,
+    *,
+    policy: str = "restart",
+    max_restarts: int | None = None,
 ) -> tuple[list[list[int]], GenStats]:
     """Generate a Sudoku matrix by stacking random disjoint layers.
 
@@ -435,10 +389,14 @@ def gen_sudoku(
       the only layer that fits.  It draws nothing.
 
     Every picked layer fits, so each counts as one accepted candidate.  A
-    dead-ended stack is restarted or backtracked as the policy says.  When
-    backtracking, a draw that hits a layer which already dead-ended the
-    same stack is redrawn, and a stack all of whose layers dead-ended is a
-    dead end in turn.
+    stack that no layer fits is a dead end.  ``policy="restart"`` (the
+    default) then discards the stack; one full restart past
+    ``max_restarts`` (None: no bound) raises BudgetExhaustedError with the
+    partial stats attached.  ``policy="backtrack"`` drops the latest layer
+    and no longer picks it for the stack below: a draw that hits a layer
+    which already dead-ended the same stack is redrawn, and a stack all of
+    whose layers dead-ended is a dead end in turn.  It never restarts, so
+    ``max_restarts`` with it raises ValueError, as does any other policy.
 
     Orders above 4 raise InfeasibleError before anything is built: one
     count of the layers that fit an order-5 stack takes about 30 s and
@@ -448,6 +406,10 @@ def gen_sudoku(
     288 matrices come out with probability 1/224 and 128 with 1/448.
     ``gen_sudoku_rejection`` samples uniformly (n <= 2).
     """
+    if policy not in ("restart", "backtrack"):
+        raise ValueError(f"unknown policy mode {policy!r}")
+    if policy == "backtrack" and max_restarts is not None:
+        raise ValueError("max_restarts does not apply to policy 'backtrack'")
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if n > MAX_LAYERED_ORDER:
@@ -456,7 +418,6 @@ def gen_sudoku(
             f"the layers that fit it {n * n - 2} times, and one such count "
             f"already takes about 30 s and 850 MB at order 5"
         )
-    policy = policy or _DEFAULT_POLICY
     side = n * n
     last = side - 1
     full = (1 << (side * side)) - 1
@@ -466,7 +427,7 @@ def gen_sudoku(
     restarts = backtracks = candidates = exact_layers = 0
     stack = DisjointStack(n)
     push = stack.try_push
-    backtracking = policy.mode == "backtrack"
+    backtracking = policy == "backtrack"
     if backtracking:
         # per depth, the layers already shown to dead-end the stack of that
         # depth, which are no longer picked there; and the pick table
@@ -476,7 +437,7 @@ def gen_sudoku(
         tables: list[tuple[int, Callable[[int], int]] | None] = [None] * side
     # restart mode never returns to a stack: it marks no layer dead and
     # keeps no table
-    dead_k = _NONE_DEAD
+    dead_k = frozenset()
     k = 0  # the stack's depth
     while k < side:
         t0 = perf()
@@ -518,9 +479,9 @@ def gen_sudoku(
             stack.clear()
             k = 0
             restarts += 1
-            if policy.max_restarts is not None and restarts > policy.max_restarts:
+            if max_restarts is not None and restarts > max_restarts:
                 raise BudgetExhaustedError(
-                    f"gave up after {policy.max_restarts} full restarts at order {n}",
+                    f"gave up after {max_restarts} full restarts at order {n}",
                     stats=GenStats(
                         n, source.seed, restarts, backtracks, candidates, exact_layers,
                         perf() - start, gen_time, check_time,

@@ -13,7 +13,6 @@ import pytest
 
 from sudogen import (
     RandomSource,
-    RestartPolicy,
     SigmaMatrix,
     derive_seed,
     format_pi,
@@ -250,6 +249,16 @@ class TestGenSudoku:
         assert result.stderr.startswith("usage: sudogen gen-sudoku")
         assert f"error: {option} does not apply to --algorithm {algorithm}" in result.stderr
 
+    def test_max_restarts_under_backtracking_is_a_usage_error(self):
+        # backtracking never restarts, so the bound would go unread
+        result = run(
+            "gen-sudoku", "--n", "3", "--seed", "0", "--policy", "backtrack", "--max-restarts", "0"
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: sudogen gen-sudoku")
+        assert "error: --max-restarts does not apply to --policy backtrack" in result.stderr
+
     def test_unread_options_at_their_defaults_are_accepted(self):
         plain = ok("gen-sudoku", "--n", "2", "--seed", "1", "--algorithm", "rejection")
         spelled = ok(
@@ -283,7 +292,7 @@ class TestGenSudoku:
             "--max-restarts", "0", "--stats", "--format", "json",
         )
         payload = json.loads(result.stdout)
-        cells, _ = gen_sudoku(3, RandomSource(derive_seed(3, 1)), RestartPolicy(max_restarts=0))
+        cells, _ = gen_sudoku(3, RandomSource(derive_seed(3, 1)), max_restarts=0)
         assert payload["cells"] == cells
         assert payload["seed"] == 3
         assert payload["stats"]["attempt_index"] == 1
@@ -301,9 +310,9 @@ class TestGenSudoku:
         # with no restart limit every attempt succeeds, so one is run
         calls = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return gen_sudoku(*args)
+            return gen_sudoku(*args, **kwargs)
 
         monkeypatch.setattr("sudogen.sudoku.gen_sudoku", counted)
         ok("gen-sudoku", "--n", "2", "--seed", "5", "--parallel", "3")

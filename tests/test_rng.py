@@ -83,6 +83,17 @@ def test_derive_seed_deterministic_and_spread():
         derive_seed(99, -1)
 
 
+@pytest.mark.parametrize(
+    "root_seed,index",
+    [(-1, 0), (2**64, 0), (True, 0), (False, 0), (1.0, 0), (99, True), (99, 2**64)],
+)
+def test_derive_seed_refuses_what_random_source_refuses(root_seed, index):
+    # unchecked, splitmix64's 64-bit masking would alias -1 to 2**64 - 1
+    # and 2**64 to 0, and True would pass as 1
+    with pytest.raises(ValueError, match="must be an unsigned 64-bit integer"):
+        derive_seed(root_seed, index)
+
+
 def test_splitmix64_stays_in_64_bits():
     for x in (0, 1, 2**63, 2**64 - 1):
         y = splitmix64(x)

@@ -1,6 +1,5 @@
 """Sudoku matrices: validity, layer calculus, generators, enumeration."""
 
-import copy
 import gc
 import hashlib
 import math
@@ -23,7 +22,6 @@ from sudogen import (
     GenStats,
     InfeasibleError,
     RandomSource,
-    RestartPolicy,
     SigmaMatrix,
     chi_square_uniform,
     compose,
@@ -416,36 +414,6 @@ class TestFittingLayers:
             gc.enable()
 
 
-class TestRestartPolicy:
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            RestartPolicy(mode="panic")
-        with pytest.raises(ValueError):
-            RestartPolicy("panic", 3)
-
-    def test_value_semantics(self):
-        assert RestartPolicy() == RestartPolicy("restart", None)
-        assert RestartPolicy(mode="backtrack") != RestartPolicy()
-        assert hash(RestartPolicy(max_restarts=2)) == hash(RestartPolicy("restart", 2))
-        assert RestartPolicy() != ("restart", None)
-        assert repr(RestartPolicy("backtrack", 2)) == (
-            "RestartPolicy(mode='backtrack', max_restarts=2)"
-        )
-
-    def test_immutable(self):
-        policy = RestartPolicy()
-        with pytest.raises(AttributeError):
-            policy.mode = "backtrack"
-        with pytest.raises(AttributeError):
-            del policy.max_restarts
-        assert policy.mode == "restart"
-
-    def test_pickle_and_copy(self):
-        policy = RestartPolicy("backtrack", 4)
-        for clone in (pickle.loads(pickle.dumps(policy)), copy.deepcopy(policy)):
-            assert clone == policy
-
-
 class TestGenStats:
     def test_defaults_and_repr(self):
         stats = GenStats(2, 7)
@@ -498,7 +466,7 @@ class TestLayeredGenerator:
         # takes rank 1 throughout.  Every total above 8 is counted.
         script = ONES3 + DEAD3 + ONES3 + [1] * 7
         src = ScriptedSource(script)
-        cells, stats = gen_sudoku(3, src, RestartPolicy(mode="restart"))
+        cells, stats = gen_sudoku(3, src, policy="restart")
         assert cells == gen_sudoku(3, ScriptedSource(ONES3 + [1] * 7))[0]
         assert src.exhausted
         assert src.calls == CALLS3 + DEAD3_TOTALS + CALLS3 + FIRST3_TOTALS
@@ -512,7 +480,7 @@ class TestLayeredGenerator:
         # 2 again there is refused and redrawn
         script = ONES3 + [12030, 4496, 1440, 398, 48, 2] + [2, 1, 1]
         src = ScriptedSource(script)
-        cells, stats = gen_sudoku(3, src, RestartPolicy(mode="backtrack"))
+        cells, stats = gen_sudoku(3, src, policy="backtrack")
         assert is_sudoku(cells)
         assert src.exhausted
         assert src.calls == CALLS3 + [17972, 6170, 1558, 402, 75, 14] + [14, 14, 2]
@@ -527,7 +495,7 @@ class TestLayeredGenerator:
         # draw, and layer 6 is popped in turn
         script = ONES3 + [15061, 2374, 45, 427, 72, 1] + [2, 3, 4] + [1, 1, 1]
         src = ScriptedSource(script)
-        cells, stats = gen_sudoku(3, src, RestartPolicy(mode="backtrack"))
+        cells, stats = gen_sudoku(3, src, policy="backtrack")
         assert is_sudoku(cells)
         assert src.exhausted
         assert src.calls == CALLS3 + [17972, 6033, 1858, 531, 80, 4] + [4, 4, 4] + [80, 26, 2]
@@ -537,9 +505,8 @@ class TestLayeredGenerator:
 
     def test_scripted_budget_exhausted(self):
         src = ScriptedSource(ONES3 + DEAD3)
-        policy = RestartPolicy(max_restarts=0)
         with pytest.raises(BudgetExhaustedError) as exc_info:
-            gen_sudoku(3, src, policy)
+            gen_sudoku(3, src, max_restarts=0)
         stats = exc_info.value.stats
         assert stats is not None
         assert stats.restarts == 1
@@ -564,7 +531,7 @@ class TestLayeredGenerator:
             return pop(stack)
 
         monkeypatch.setattr(DisjointStack, "pop", recording_pop)
-        cells, stats = gen_sudoku(3, RandomSource(seed), RestartPolicy(mode=mode))
+        cells, stats = gen_sudoku(3, RandomSource(seed), policy=mode)
         assert is_sudoku(cells)
         assert stats.restarts + stats.backtracks > 0
         assert stats.candidates == stats.exact_layers + stats.restarts + 2
@@ -574,7 +541,7 @@ class TestLayeredGenerator:
     @pytest.mark.parametrize("seed", [2, 4])
     @pytest.mark.parametrize("mode", ["restart", "backtrack"])
     def test_order_four(self, mode, seed):
-        cells, stats = gen_sudoku(4, RandomSource(seed), RestartPolicy(mode=mode))
+        cells, stats = gen_sudoku(4, RandomSource(seed), policy=mode)
         assert is_sudoku(cells)
         assert stats.exact_layers == 14
 
@@ -591,6 +558,22 @@ class TestLayeredGenerator:
             gen_sudoku(n, src)
         assert src.calls == []
 
+    def test_unknown_policy_mode(self):
+        for max_restarts in (None, 3):
+            with pytest.raises(ValueError, match="unknown policy mode 'panic'"):
+                gen_sudoku(2, RandomSource(0), policy="panic", max_restarts=max_restarts)
+
+    def test_max_restarts_refused_under_backtracking(self):
+        # backtracking never restarts, so a restart bound would go unread
+        src = ScriptedSource([])
+        with pytest.raises(ValueError, match="max_restarts does not apply to policy 'backtrack'"):
+            gen_sudoku(3, src, policy="backtrack", max_restarts=0)
+        assert src.calls == []
+
+    def test_policy_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            gen_sudoku(2, RandomSource(0), "restart")
+
     @pytest.mark.parametrize("n,seed", [(1, 5), (2, 5), (3, 1)])
     def test_output_is_valid(self, n, seed):
         cells, stats = gen_sudoku(n, RandomSource(seed))
@@ -605,13 +588,13 @@ class TestLayeredGenerator:
     @pytest.mark.parametrize("mode", ["restart", "backtrack"])
     def test_phase_times_fit_in_wall_time(self, n, mode):
         for seed in range(5):
-            _, stats = gen_sudoku(n, RandomSource(seed), RestartPolicy(mode=mode))
+            _, stats = gen_sudoku(n, RandomSource(seed), policy=mode)
             assert 0 <= stats.gen_time_s + stats.check_time_s <= stats.wall_time_s
 
     def test_partial_phase_times_fit_in_wall_time(self):
         # seed 0 abandons a stack at order 3 (test_dead_ends_are_exact_at_order_three)
         with pytest.raises(BudgetExhaustedError) as exc_info:
-            gen_sudoku(3, RandomSource(0), RestartPolicy(max_restarts=0))
+            gen_sudoku(3, RandomSource(0), max_restarts=0)
         stats = exc_info.value.stats
         assert stats.restarts == 1
         assert stats.candidates > 0
@@ -619,15 +602,14 @@ class TestLayeredGenerator:
 
     @pytest.mark.parametrize("n,seeds", [(2, range(200)), (3, range(10))])
     def test_no_policy_runs_as_a_fresh_default_policy(self, n, seeds):
-        # a call without a policy shares one module-level RestartPolicy;
-        # it must run exactly as a call given a new RestartPolicy()
-        def run(seed, *policy):
+        # a call without a policy runs exactly as one that asks for restarts
+        def run(seed, **policy):
             src = RandomSource(seed)
-            cells, stats = gen_sudoku(n, src, *policy)
+            cells, stats = gen_sudoku(n, src, **policy)
             counts = (stats.restarts, stats.backtracks, stats.candidates, stats.exact_layers)
             return cells, counts, src.draws, src.uniform_int(2**40)
 
-        runs = [(run(seed), run(seed, RestartPolicy())) for seed in seeds]
+        runs = [(run(seed), run(seed, policy="restart")) for seed in seeds]
         assert all(default == explicit for default, explicit in runs)
         assert any(default[1][0] for default, _ in runs) == (n == 3)
 
@@ -687,7 +669,7 @@ def seeded_runs(n, seeds, mode="restart", before=None):
         if before is not None:
             before()
         src = RandomSource(seed)
-        cells, stats = gen_sudoku(n, src, RestartPolicy(mode=mode))
+        cells, stats = gen_sudoku(n, src, policy=mode)
         counts = (stats.restarts, stats.backtracks, stats.candidates, stats.exact_layers)
         out.append((cells, counts, src.draws, src.uniform_int(2**40)))
     return out
@@ -721,7 +703,7 @@ class TestPickTables:
         # pop made 630 counts of those
         monkeypatch.setattr(sudoku_mod, "_listed", {})
         counted = spy_counts(monkeypatch)
-        cells, stats = gen_sudoku(4, RandomSource(6), RestartPolicy(mode="backtrack"))
+        cells, stats = gen_sudoku(4, RandomSource(6), policy="backtrack")
         assert is_sudoku(cells)
         assert stats.backtracks == 1208
         frees = [free for _, free, _ in counted]
