@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import BudgetExhaustedError, CompositionError, InfeasibleError
-from .perm import _is_perm_trusted
 from .pi import gen_pi_direct
 from .rng import RandomSource
 # is_sigma is unused here but stays importable as ``sudoku.is_sigma``,
@@ -33,7 +32,7 @@ from .rng import RandomSource
 from .sigma import SigmaMatrix, _phi_mask, is_sigma  # noqa: F401
 from .sigma import block_order as sudoku_order
 
-STATS_SCHEMA_VERSION = 3
+STATS_SCHEMA_VERSION = 4
 
 # Highest order the layered generator accepts (see gen_sudoku).
 MAX_LAYERED_ORDER = 4
@@ -57,22 +56,21 @@ def is_sudoku(cells: list[list[int]]) -> bool:
     """
     n = sudoku_order(cells)
     side = n * n
+    values = set(range(1, side + 1))
     for i, row in enumerate(cells, start=1):
-        for v in row:
-            if not 1 <= v <= side:
-                raise ValueError(f"entry {v!r} in row {i} outside range 1..{side}")
-    for row in cells:
-        if not _is_perm_trusted(row, side):
-            return False
-    for j in range(side):
-        if not _is_perm_trusted([cells[i][j] for i in range(side)], side):
-            return False
-    for s in range(n):
-        for t in range(n):
-            block = [cells[s * n + i][t * n + j] for i in range(n) for j in range(n)]
-            if not _is_perm_trusted(block, side):
-                return False
-    return True
+        if not values.issuperset(row):
+            v = next(v for v in row if v not in values)
+            raise ValueError(f"entry {v!r} in row {i} outside range 1..{side}")
+    # every entry is one of the n^2 values, so a group is a permutation
+    # iff it holds n^2 distinct ones
+    blocks = (
+        [cells[s + i][t + j] for i in range(n) for j in range(n)]
+        for s in range(0, side, n)
+        for t in range(0, side, n)
+    )
+    return all(
+        len(set(group)) == side for groups in (cells, zip(*cells), blocks) for group in groups
+    )
 
 
 def compose(layers: list[SigmaMatrix]) -> list[list[int]]:
@@ -174,70 +172,27 @@ class DisjointStack:
         self.mask = 0
 
 
-class GenStats:
+class GenStats(NamedTuple):
     """Versioned per-run statistics of the layered generator.
 
     ``exact_layers`` counts the layers picked among the layers that fit
     (layers 2 .. n^2 - 1), as opposed to layer 1 and the forced last one.
     Every picked layer fits, so ``candidates`` counts accepted layers,
-    including those of abandoned stacks.  Mutable, compared field by
-    field, and unhashable.
+    including those of abandoned stacks.  ``wall_time_s`` is the whole run.
     """
 
-    __slots__ = (
-        "n",
-        "seed",
-        "restarts",
-        "backtracks",
-        "candidates",
-        "exact_layers",
-        "wall_time_s",
-        "gen_time_s",
-        "check_time_s",
-        "schema_version",
-    )
+    n: int
+    seed: int | None
+    restarts: int = 0
+    backtracks: int = 0
+    candidates: int = 0
+    exact_layers: int = 0
+    wall_time_s: float = 0.0
 
-    def __init__(
-        self,
-        n: int,
-        seed: int | None,
-        restarts: int = 0,
-        backtracks: int = 0,
-        candidates: int = 0,
-        exact_layers: int = 0,
-        wall_time_s: float = 0.0,
-        gen_time_s: float = 0.0,
-        check_time_s: float = 0.0,
-    ):
-        self.n = n
-        self.seed = seed
-        self.restarts = restarts
-        self.backtracks = backtracks
-        self.candidates = candidates
-        self.exact_layers = exact_layers
-        self.wall_time_s = wall_time_s
-        self.gen_time_s = gen_time_s
-        self.check_time_s = check_time_s
-        self.schema_version = STATS_SCHEMA_VERSION
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"GenStats({fields})"
+    schema_version = STATS_SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        # schema_version first, then the other fields in order
-        rest = {name: getattr(self, name) for name in self.__slots__[:-1]}
-        return {"schema_version": self.schema_version, **rest}
+        return {"schema_version": STATS_SCHEMA_VERSION, **self._asdict()}
 
 
 @functools.cache
@@ -388,15 +343,18 @@ def gen_sudoku(
       uncovered hold one cell per row, column and block, so their mask is
       the only layer that fits.  It draws nothing.
 
-    Every picked layer fits, so each counts as one accepted candidate.  A
-    stack that no layer fits is a dead end.  ``policy="restart"`` (the
-    default) then discards the stack; one full restart past
-    ``max_restarts`` (None: no bound) raises BudgetExhaustedError with the
-    partial stats attached.  ``policy="backtrack"`` drops the latest layer
-    and no longer picks it for the stack below: a draw that hits a layer
-    which already dead-ended the same stack is redrawn, and a stack all of
-    whose layers dead-ended is a dead end in turn.  It never restarts, so
-    ``max_restarts`` with it raises ValueError, as does any other policy.
+    Returns the grid and its ``GenStats``: the run's counts and its wall
+    time.  Every picked layer fits, so each counts as one accepted
+    candidate.  A stack that no layer fits is a dead end.
+    ``policy="restart"`` (the default) then discards the stack; one full
+    restart past ``max_restarts`` (None: no bound, else an int >= 0) raises
+    BudgetExhaustedError with the partial stats attached.
+    ``policy="backtrack"`` drops the latest layer and no longer picks it for
+    the stack below: a draw that hits a layer which already dead-ended the
+    same stack is redrawn, and a stack all of whose layers dead-ended is a
+    dead end in turn.  It never restarts, so ``max_restarts`` with it raises
+    ValueError, as do any other policy and a ``max_restarts`` that is
+    neither None nor an int >= 0 (a bool is refused), before any draw.
 
     Orders above 4 raise InfeasibleError before anything is built: one
     count of the layers that fit an order-5 stack takes about 30 s and
@@ -410,6 +368,10 @@ def gen_sudoku(
         raise ValueError(f"unknown policy mode {policy!r}")
     if policy == "backtrack" and max_restarts is not None:
         raise ValueError("max_restarts does not apply to policy 'backtrack'")
+    if max_restarts is not None and (
+        not isinstance(max_restarts, int) or isinstance(max_restarts, bool) or max_restarts < 0
+    ):
+        raise ValueError(f"max_restarts must be None or an int >= 0, got {max_restarts!r}")
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if n > MAX_LAYERED_ORDER:
@@ -423,7 +385,6 @@ def gen_sudoku(
     full = (1 << (side * side)) - 1
     perf = time.perf_counter
     start = perf()
-    gen_time = check_time = 0.0
     restarts = backtracks = candidates = exact_layers = 0
     stack = DisjointStack(n)
     push = stack.try_push
@@ -440,7 +401,6 @@ def gen_sudoku(
     dead_k = frozenset()
     k = 0  # the stack's depth
     while k < side:
-        t0 = perf()
         if k == last:
             mask = full ^ stack.mask
         elif k == 0:
@@ -461,13 +421,10 @@ def gen_sudoku(
                 exact_layers += 1
             else:
                 mask = None  # dead end: no live layer fits this stack
-        t1 = perf()
-        gen_time += t1 - t0
         if mask is not None:
             candidates += 1
             pushed = push(SigmaMatrix(n, mask))
             assert pushed, "every picked layer fits the stack"
-            check_time += perf() - t1
             k += 1
         elif backtracking:
             dead[k].clear()
@@ -480,17 +437,15 @@ def gen_sudoku(
             k = 0
             restarts += 1
             if max_restarts is not None and restarts > max_restarts:
+                stats = GenStats(
+                    n, source.seed, restarts, backtracks, candidates, exact_layers, perf() - start
+                )
                 raise BudgetExhaustedError(
-                    f"gave up after {max_restarts} full restarts at order {n}",
-                    stats=GenStats(
-                        n, source.seed, restarts, backtracks, candidates, exact_layers,
-                        perf() - start, gen_time, check_time,
-                    ),
+                    f"gave up after {max_restarts} full restarts at order {n}", stats=stats
                 )
     cells = compose(stack.layers)
     return cells, GenStats(
-        n, source.seed, restarts, backtracks, candidates, exact_layers,
-        perf() - start, gen_time, check_time,
+        n, source.seed, restarts, backtracks, candidates, exact_layers, perf() - start
     )
 
 

@@ -187,14 +187,14 @@ class TestGenSudoku:
         )
         payload = json.loads(result.stdout)
         stats = payload["stats"]
-        assert stats["schema_version"] == 3
+        assert stats["schema_version"] == 4
         assert stats["n"] == 2
         assert stats["seed"] == 4
         assert stats["candidates"] >= 4
 
     def test_stats_on_stderr_in_text_mode(self):
         result = ok("gen-sudoku", "--n", "2", "--seed", "4", "--stats")
-        assert '"schema_version": 3' in result.stderr
+        assert '"schema_version": 4' in result.stderr
 
     def test_rejection_algorithm(self):
         result = ok(

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import math
 import pickle
 import time
@@ -151,6 +152,22 @@ class TestShapeAndValidity:
             is_sudoku([[1, 2, 3, 4], [3, 4, 1, 2], [2, 1, 4, 3], [4, 3, 2, 5]])
         with pytest.raises(ValueError):
             is_sudoku([[0]])
+
+    def test_non_integral_entry_refused(self):
+        # 2.5 in place of every 2 would make every group's set hold four values
+        grid = [[2.5 if v == 2 else v for v in row] for row in EXAMPLE]
+        with pytest.raises(ValueError, match="entry 2.5 in row 1"):
+            is_sudoku(grid)
+
+    def test_agrees_with_enumeration_at_order_two(self, sudoku288_keys):
+        # every grid whose first row is 1 2 3 4 and whose other rows are
+        # permutations: columns and blocks fail in every combination
+        perms = list(itertools.permutations(range(1, 5)))
+        grids = [[[1, 2, 3, 4], *rows] for rows in itertools.product(perms, repeat=3)]
+        assert len(grids) == 13_824
+        verdicts = [is_sudoku(grid) for grid in grids]
+        assert verdicts == [as_key(grid) in sudoku288_keys for grid in grids]
+        assert sum(verdicts) == 12
 
 
 class TestComposeDecompose:
@@ -418,23 +435,21 @@ class TestGenStats:
     def test_defaults_and_repr(self):
         stats = GenStats(2, 7)
         assert stats.restarts == stats.candidates == 0
-        assert stats.schema_version == 3
+        assert stats.schema_version == 4
+        assert len(GenStats._fields) == 7
         assert repr(stats) == (
             "GenStats(n=2, seed=7, restarts=0, backtracks=0, candidates=0, "
-            "exact_layers=0, wall_time_s=0.0, gen_time_s=0.0, check_time_s=0.0, "
-            "schema_version=3)"
+            "exact_layers=0, wall_time_s=0.0)"
         )
 
-    def test_mutable_compared_by_value_and_unhashable(self):
+    def test_immutable_and_compared_by_value(self):
         a, b = GenStats(2, 7), GenStats(n=2, seed=7)
-        assert a == b
-        b.restarts += 1
-        assert a != b
+        assert a == b and hash(a) == hash(b)
+        assert a != b._replace(restarts=1)
         assert a != a.to_dict()
-        with pytest.raises(TypeError):
-            hash(a)
-        with pytest.raises(AttributeError):
-            a.extra = 1
+        for name in ("restarts", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 1)
 
     def test_pickle_round_trip(self):
         _, stats = gen_sudoku(2, RandomSource(3))
@@ -570,6 +585,13 @@ class TestLayeredGenerator:
             gen_sudoku(3, src, policy="backtrack", max_restarts=0)
         assert src.calls == []
 
+    @pytest.mark.parametrize("max_restarts", [-1, 1.5, True])
+    def test_invalid_max_restarts_refused_before_drawing(self, max_restarts):
+        src = ScriptedSource([])
+        with pytest.raises(ValueError, match="max_restarts must be None or an int >= 0"):
+            gen_sudoku(3, src, max_restarts=max_restarts)
+        assert src.calls == []
+
     def test_policy_is_keyword_only(self):
         with pytest.raises(TypeError):
             gen_sudoku(2, RandomSource(0), "restart")
@@ -581,15 +603,13 @@ class TestLayeredGenerator:
         assert stats.n == n
         assert stats.seed == seed
         assert stats.wall_time_s >= 0
-        assert stats.gen_time_s >= 0
-        assert stats.check_time_s >= 0
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("mode", ["restart", "backtrack"])
     def test_phase_times_fit_in_wall_time(self, n, mode):
         for seed in range(5):
             _, stats = gen_sudoku(n, RandomSource(seed), policy=mode)
-            assert 0 <= stats.gen_time_s + stats.check_time_s <= stats.wall_time_s
+            assert stats.wall_time_s >= 0
 
     def test_partial_phase_times_fit_in_wall_time(self):
         # seed 0 abandons a stack at order 3 (test_dead_ends_are_exact_at_order_three)
@@ -598,7 +618,7 @@ class TestLayeredGenerator:
         stats = exc_info.value.stats
         assert stats.restarts == 1
         assert stats.candidates > 0
-        assert 0 <= stats.gen_time_s + stats.check_time_s <= stats.wall_time_s
+        assert stats.wall_time_s >= 0
 
     @pytest.mark.parametrize("n,seeds", [(2, range(200)), (3, range(10))])
     def test_no_policy_runs_as_a_fresh_default_policy(self, n, seeds):
@@ -632,10 +652,8 @@ class TestLayeredGenerator:
             "candidates",
             "exact_layers",
             "wall_time_s",
-            "gen_time_s",
-            "check_time_s",
         ]
-        assert d["schema_version"] == 3
+        assert d["schema_version"] == 4
         # at order 2 layers 2 and 3 are always picked from an enumeration
         assert d["exact_layers"] == 2
 
