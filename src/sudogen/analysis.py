@@ -177,21 +177,21 @@ def _check_pi(rows, n):
 def _draw_sigma(n, source):
     # n^4 draws from {1, 2}, row-major, as the rows of a 0/1 matrix
     side = n * n
-    bits = [x - 1 for x in source.uniform_seq((2,) * (side * side))]
+    bits = source.bits(side * side)
     return [bits[i : i + side] for i in range(0, side * side, side)]
 
 
 def _draw_sudoku(n, source):
     # The masks of n^2 random layers, decoded one at a time up to the
-    # first that overlaps an earlier one.  The later layers' values are
-    # drawn unused, so every attempt consumes the same stream.
+    # first that overlaps an earlier one.  The later layers' draws are
+    # skipped, not built, so every attempt consumes the same stream.
     side = n * n
     acc = 0
     masks = []
     for k in range(side):
         mask = _phi_mask(gen_pi_direct(n, source), n)
         if acc & mask:
-            source.uniform_seq(_pi_draw_bounds(n) * (side - 1 - k))
+            source.skip(_pi_draw_bounds(n) * (side - 1 - k))
             break
         acc |= mask
         masks.append(mask)
@@ -292,7 +292,7 @@ def gen_sudoku_rejection(
     1 at n = 1, 288/65536 at n = 2, and about 6.6e-21 at n = 3, so
     n >= 3 is refused with the expected iteration count.  An attempt
     decodes its layers only up to the first that overlaps an earlier
-    one, but draws the values of all n^2 layers.
+    one, but consumes the draws of all n^2 layers.
     """
     masks, iterations = _las_vegas("sudoku-rejection", n, source, max_iterations)
     cells = compose([SigmaMatrix(n, mask) for mask in masks])
@@ -353,7 +353,7 @@ def estimate_p(
     term).  Requests the generator itself refuses are refused with its
     InfeasibleError.  A ``sudoku-rejection`` attempt's overlap tests
     belong to its draw half, which stops decoding layers at the first
-    one that overlaps the earlier ones (but still draws the values of
+    one that overlaps the earlier ones (but still consumes the draws of
     the rest, so each attempt consumes the same stream); its check time
     is only the test that every layer was decoded.
     """

@@ -103,7 +103,17 @@ def parse_pi(text: str) -> list[list[int]]:
 
 
 def format_sigma(matrix: SigmaMatrix) -> str:
-    return "\n".join(" ".join(row) for row in _bit_rows(matrix))
+    # A row of a valid matrix holds exactly one 1: splice it into a shared
+    # spaced row of zeros instead of joining side one-character strings.
+    zeros = " ".join("0" * matrix.side)
+    out = []
+    for row in _bit_rows(matrix):
+        j = row.find("1")
+        if j >= 0 and row.find("1", j + 1) < 0:
+            out.append(zeros[: 2 * j] + "1" + zeros[2 * j + 1 :])
+        else:
+            out.append(" ".join(row))
+    return "\n".join(out)
 
 
 def parse_binary_matrix(text: str) -> list[list[int]]:

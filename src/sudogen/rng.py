@@ -9,6 +9,12 @@ Values are mapped to ``{1..k}`` by drawing the minimal number of bits
 and rejecting draws that land in the biased remainder range, so every
 value has probability exactly 1/k.
 
+A bound that is a power of two, k = 2^b, never rejects: its draw is one
+``getrandbits(b)`` call, which takes ceil(b/32) of the engine's 32-bit
+output words (none for k = 1).  ``RandomSource.bits`` and
+``RandomSource.skip`` rely on that to make runs of such draws in one
+call without changing the stream.
+
 Independent attempts must not share a source; they derive child seeds
 from a root seed with :func:`derive_seed` (a splitmix64 mix of the root
 and the attempt index).
@@ -16,6 +22,8 @@ and the attempt index).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 
 _MASK64 = (1 << 64) - 1
@@ -54,9 +62,11 @@ class RandomSource:
 
     A source is single-consumer: it may be handed from one thread to
     another but never used from two at once.  ``draws`` counts the
-    values drawn, one per ``uniform_int`` call and one per entry of a
-    ``uniform_seq`` call, for instrumentation.  Both methods consume the
-    engine identically, so batching draws never changes a seeded stream.
+    values drawn, one per ``uniform_int`` call, one per entry of a
+    ``uniform_seq`` or ``skip`` call and one per bit of ``bits``, for
+    instrumentation.  All four consume the engine as one ``uniform_int``
+    call per value would, so batching or skipping draws never changes a
+    seeded stream.
     """
 
     def __init__(self, seed: int | None = None):
@@ -110,5 +120,47 @@ class RandomSource:
         self.draws += len(out)
         return out
 
+    def bits(self, m: int) -> list[int]:
+        """m fair bits (0 or 1): ``uniform_seq((2,) * m)`` minus one each.
+
+        Makes the same ``getrandbits(1)`` calls and adds m to ``draws``.
+        ValueError, before drawing, unless m is an int >= 0 (not a bool).
+        """
+        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+            raise ValueError(f"m must be an integer >= 0, got {m!r}")
+        self.draws += m
+        return list(map(self._getrandbits, itertools.repeat(1, m)))
+
+    def skip(self, ks) -> None:
+        """Consume exactly what ``uniform_seq(ks)`` would, building no values.
+
+        Moves the engine and ``draws`` as that call would.  When every k
+        is a power of two, no draw rejects, so the draws together take a
+        fixed number of 32-bit words, made as one ``getrandbits`` call;
+        other bounds fall back to ``uniform_seq``.  ValueError if any
+        k < 1, raised before anything is drawn.
+        """
+        ks = tuple(ks)  # hashable for the cache; a tuple is not copied
+        words = _skip_words(ks)
+        if words is None:
+            self.uniform_seq(ks)
+            return
+        self.draws += len(ks)
+        self._getrandbits(32 * words)
+
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed})"
+
+
+@functools.lru_cache(maxsize=32)
+def _skip_words(ks: tuple) -> int | None:
+    # The 32-bit words uniform_seq(ks) takes when every k is a power of
+    # two (2^b takes ceil(b / 32), 1 takes none), else None.
+    if ks and min(ks) < 1:
+        raise ValueError(f"k must be >= 1, got {min(ks)}")
+    words = 0
+    for k in ks:
+        if k & (k - 1):
+            return None
+        words += (k.bit_length() + 30) // 32
+    return words

@@ -13,8 +13,9 @@ class ScriptedSource:
     Each ``uniform_int(k)`` pops the next scripted value (asserting it
     fits in 1..k) and records k in ``calls``, so tests can pin down both
     the exact draws an algorithm makes and what it does with them.
-    ``uniform_seq(ks)`` makes one such draw per k, so ``calls`` records
-    batched draws too.
+    ``uniform_seq(ks)``, ``skip(ks)`` and ``bits(m)`` make one such draw
+    per k (k = 2 for each bit), so ``calls`` records batched and skipped
+    draws too.
     """
 
     def __init__(self, values):
@@ -38,6 +39,12 @@ class ScriptedSource:
 
     def uniform_seq(self, ks) -> list[int]:
         return [self.uniform_int(k) for k in ks]
+
+    def bits(self, m: int) -> list[int]:
+        return [self.uniform_int(2) - 1 for _ in range(m)]
+
+    def skip(self, ks) -> None:
+        self.uniform_seq(ks)
 
     @property
     def exhausted(self) -> bool:

@@ -279,6 +279,23 @@ class TestSigmaTextMatchesReference:
             m = phi(gen_pi_direct(n, RandomSource(seed)))
             assert format_sigma(m) == reference_format_sigma(m)
 
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=8))
+    @settings(max_examples=150)
+    def test_random_masks(self, data, n):
+        # rows with no 1, one 1 and several, and bits past n^4
+        size = n**4
+        ones = data.draw(st.lists(st.integers(0, size + 40), max_size=2 * n * n))
+        m = SigmaMatrix(n, sum(1 << b for b in set(ones)))
+        assert format_sigma(m) == reference_format_sigma(m)
+
+    def test_one_one_rows_at_each_edge(self):
+        # the spliced 1 in the first, a middle and the last column
+        for n in range(1, 9):
+            side = n * n
+            for j in {0, side // 2, side - 1}:
+                m = SigmaMatrix(n, sum(1 << (i * side + j) for i in range(side)))
+                assert format_sigma(m) == reference_format_sigma(m)
+
     @pytest.mark.parametrize("name", MALFORMED_SIGMA)
     def test_malformed_masks(self, name):
         m = MALFORMED_SIGMA[name]

@@ -196,3 +196,87 @@ def test_chi_square_uniform_helper():
         chi_square_uniform([])
     with pytest.raises(ValueError):
         chi_square_uniform([0, 0])
+
+
+# Power-of-two bounds whose draws take zero, one, two and three 32-bit
+# words, and non-powers that send skip to its uniform_seq fallback.
+POW2_BOUNDS = [1, 2, 4, 2**31, 2**32, 2**33, 2**64, 2**65]
+OTHER_BOUNDS = [3, 5, 6]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    ks=st.lists(st.sampled_from(POW2_BOUNDS + OTHER_BOUNDS), max_size=30),
+    as_tuple=st.booleans(),
+)
+@settings(max_examples=300)
+def test_skip_consumes_what_uniform_seq_does(seed, ks, as_tuple):
+    skipped = RandomSource(seed)
+    drawn = RandomSource(seed)
+    assert skipped.skip(tuple(ks) if as_tuple else ks) is None
+    drawn.uniform_seq(ks)
+    assert skipped.draws == drawn.draws == len(ks)
+    assert skipped._getrandbits(64) == drawn._getrandbits(64)
+
+
+@pytest.mark.parametrize("k", POW2_BOUNDS + OTHER_BOUNDS)
+def test_skip_each_bound(k):
+    for count in (1, 3):
+        skipped = RandomSource(k % 997)
+        drawn = RandomSource(k % 997)
+        skipped.skip((k,) * count)
+        drawn.uniform_seq((k,) * count)
+        assert skipped.draws == drawn.draws == count
+        assert skipped._getrandbits(64) == drawn._getrandbits(64)
+
+
+def test_skip_takes_an_empty_tuple_and_an_iterator():
+    src = RandomSource(11)
+    twin = RandomSource(11)
+    src.skip(())
+    src.skip([])
+    assert src.draws == 0
+    src.skip(iter([2, 1, 2, 1, 8]))
+    src.skip(k for k in [3, 2])
+    twin.uniform_seq([2, 1, 2, 1, 8, 3, 2])
+    assert src.draws == twin.draws == 7
+    assert src._getrandbits(64) == twin._getrandbits(64)
+
+
+@pytest.mark.parametrize("ks", [[0], (0,), [2, 0], (4, 1, -1), [3, 0], [-4, 7]])
+def test_skip_rejects_k_below_one_before_drawing(ks):
+    src = RandomSource(9)
+    twin = RandomSource(9)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        src.skip(ks)
+    assert src.draws == 0
+    assert src._getrandbits(64) == twin._getrandbits(64)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    m=st.integers(min_value=0, max_value=80),
+)
+@settings(max_examples=200)
+def test_bits_are_uniform_seq_of_twos_minus_one(seed, m):
+    fast = RandomSource(seed)
+    slow = RandomSource(seed)
+    assert fast.bits(m) == [x - 1 for x in slow.uniform_seq((2,) * m)]
+    assert fast.draws == slow.draws == m
+    assert fast._getrandbits(64) == slow._getrandbits(64)
+
+
+def test_bits_of_zero_is_empty():
+    src = RandomSource(2)
+    assert src.bits(0) == []
+    assert src.draws == 0
+    assert src._getrandbits(64) == RandomSource(2)._getrandbits(64)
+
+
+@pytest.mark.parametrize("m", [-1, -16, 1.0, 2.5, "4", None, True, False])
+def test_bits_refuses_bad_counts_before_drawing(m):
+    src = RandomSource(8)
+    with pytest.raises(ValueError, match="m must be an integer >= 0"):
+        src.bits(m)
+    assert src.draws == 0
+    assert src._getrandbits(64) == RandomSource(8)._getrandbits(64)
