@@ -51,48 +51,41 @@ def _is_perm_trusted(values: list[int], n: int) -> bool:
 def gen_perm_direct(n: int, source: RandomSource) -> list[int]:
     """Uniform random permutation from exactly n draws, never rejecting.
 
-    Draw k selects position x in the remaining pool of n-k+1 values; the
-    n draws are made in one ``uniform_seq`` call.  The chosen value is
-    deleted by shifting the tail left one slot, which costs O(n) per draw
-    and O(n^2) overall.  Orders up to 4 look their permutation up in a
-    table that this decode builds once from all n! runs of draws, so the
-    values are the same, but ``bench --generator perm-direct`` at sizes
-    1-4 times a lookup; the sizes whose slopes are gated (64 and up)
-    still time the decode.
+    Draw k selects position x in the remaining pool of n-k+1 values, and
+    the chosen value is deleted by shifting the tail left one slot, which
+    costs O(n) per draw and O(n^2) overall; from order 5 on the n draws
+    are made in one ``uniform_seq`` call and decoded so.  The n draws
+    are a Lehmer code, so orders up to 4 draw them as one rank
+    (``RandomSource.perm_ranks``, the same stream) and return that row
+    of a table the shift decode builds once from all n! runs.  The values
+    are the same, but ``bench --generator perm-direct`` at sizes 1-4
+    times a lookup; the sizes whose slopes are gated (64 and up) still
+    time the decode.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    return _decode_perms(source.uniform_seq(range(n, 0, -1)), n)[0]
-
-
-_TABLE_MAX_ORDER = 4  # largest order decoded through _perm_table
-
-
-def _decode_perms(xs: list[int], n: int) -> list[list[int]]:
-    # The permutations of 1..n that consecutive runs of n draws select.
-    # In each run the draws come from {1..n}, {1..n-1}, ..., {1}, and
-    # each picks a position among the values not chosen yet: the run is
-    # a Lehmer code.  Up to order 4 there are at most 24 runs, so each is
-    # looked up in the table _decode_loop built from all of them; larger
-    # orders run the loop itself.
     if n > _TABLE_MAX_ORDER:
-        return _decode_loop(xs, n)
-    runs = zip(*[iter(xs)] * n)
-    return list(map(list, map(_perm_table(n).__getitem__, runs)))
+        return _decode_loop(source.uniform_seq(range(n, 0, -1)), n)[0]
+    return list(_perm_rows(n)[source.perm_ranks(n, 1)[0]])
+
+
+_TABLE_MAX_ORDER = 4  # largest order decoded through _perm_rows
 
 
 @functools.cache
-def _perm_table(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    # Every run of n draws mapped to the permutation _decode_loop decodes
-    # from it; built once per order.
-    runs = list(product(*[range(1, k + 1) for k in range(n, 0, -1)]))
-    rows = _decode_loop([x for run in runs for x in run], n)
-    return dict(zip(runs, map(tuple, rows)))
+def _perm_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    # The n! permutations _decode_loop decodes from the runs of n draws,
+    # in the order itertools.product lists the runs, which is rank order
+    # (RandomSource.perm_ranks); built once per order.
+    runs = product(*[range(1, k + 1) for k in range(n, 0, -1)])
+    return tuple(map(tuple, _decode_loop([x for run in runs for x in run], n)))
 
 
 def _decode_loop(xs: list[int], n: int) -> list[list[int]]:
-    # _decode_perms without the table: each chosen value is deleted by
-    # shifting the tail of the pool left one slot.
+    # The permutations of 1..n that consecutive runs of n draws select.
+    # In each run the draws come from {1..n}, {1..n-1}, ..., {1}, and
+    # each picks a position among the values not chosen yet; the chosen
+    # value is deleted by shifting the tail of the pool left one slot.
     rows = []
     pool = list(range(1, n + 1))
     live = 0  # values not chosen yet in the current run

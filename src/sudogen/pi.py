@@ -15,7 +15,7 @@ import functools
 from itertools import permutations, product
 from typing import Iterator
 
-from .perm import _decode_perms, is_permutation
+from .perm import _TABLE_MAX_ORDER, _decode_loop, _perm_rows, is_permutation
 from .rng import RandomSource
 
 
@@ -51,13 +51,18 @@ def is_pi(rows: list[list[int]]) -> bool:
 def gen_pi_direct(n: int, source: RandomSource) -> list[list[int]]:
     """Uniform random pi matrix: one direct permutation per row, no rejection.
 
-    All 2n^2 draws are made in one ``uniform_seq`` call, row after row in
-    the order ``gen_perm_direct`` would make them, and each row is decoded
-    as that function decodes its draws, by the shift deletion.
+    Makes the 2n^2 draws of 2n ``gen_perm_direct`` calls, row after row,
+    and decodes each row as that function does: from order 5 on all of
+    them in one ``uniform_seq`` call, decoded by the shift deletion; up
+    to order 4 as 2n ranks in one ``RandomSource.perm_ranks`` call, each
+    row a fresh copy of that row of the shift decode's table.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    return _decode_perms(source.uniform_seq(_pi_draw_bounds(n)), n)
+    if n > _TABLE_MAX_ORDER:
+        return _decode_loop(source.uniform_seq(_pi_draw_bounds(n)), n)
+    rows = _perm_rows(n)
+    return [list(rows[r]) for r in source.perm_ranks(n, 2 * n)]
 
 
 @functools.cache

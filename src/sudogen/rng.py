@@ -13,7 +13,8 @@ A bound that is a power of two, k = 2^b, never rejects: its draw is one
 ``getrandbits(b)`` call, which takes ceil(b/32) of the engine's 32-bit
 output words (none for k = 1).  ``RandomSource.bits`` and
 ``RandomSource.skip`` rely on that to make runs of such draws in one
-call without changing the stream.
+call without changing the stream, and ``RandomSource.perm_ranks`` to
+draw order-2 permutations as one ``getrandbits(1)`` each.
 
 Independent attempts must not share a source; they derive child seeds
 from a root seed with :func:`derive_seed` (a splitmix64 mix of the root
@@ -63,10 +64,10 @@ class RandomSource:
     A source is single-consumer: it may be handed from one thread to
     another but never used from two at once.  ``draws`` counts the
     values drawn, one per ``uniform_int`` call, one per entry of a
-    ``uniform_seq`` or ``skip`` call and one per bit of ``bits``, for
-    instrumentation.  All four consume the engine as one ``uniform_int``
-    call per value would, so batching or skipping draws never changes a
-    seeded stream.
+    ``uniform_seq`` or ``skip`` call, one per bit of ``bits`` and n per
+    rank of ``perm_ranks(n, m)``, for instrumentation.  All five consume
+    the engine as one ``uniform_int`` call per value would, so batching,
+    ranking or skipping draws never changes a seeded stream.
     """
 
     def __init__(self, seed: int | None = None):
@@ -130,6 +131,38 @@ class RandomSource:
             raise ValueError(f"m must be an integer >= 0, got {m!r}")
         self.draws += m
         return list(map(self._getrandbits, itertools.repeat(1, m)))
+
+    def perm_ranks(self, n: int, m: int) -> list[int]:
+        """m ranks in 0..n!-1, one per run of draws from {1..n}, ..., {1}.
+
+        A run x_n, ..., x_1 (x_k from {1..k}) is a Lehmer code, and its
+        rank is the sum of (x_k - 1) * (k - 1)!, so runs rank in the
+        order ``itertools.product`` lists them.  Makes exactly the
+        ``getrandbits`` calls of ``uniform_seq(tuple(range(n, 0, -1)) * m)``
+        and adds n * m to ``draws``: at n = 2 one ``getrandbits(1)`` per
+        run, made as ``bits`` makes them, otherwise ``uniform_int``'s
+        rejection loop per bound above 1.  ValueError, before drawing,
+        unless n is an int >= 1 and m an int >= 0 (bools refused).
+        """
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {n!r}")
+        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+            raise ValueError(f"m must be an integer >= 0, got {m!r}")
+        self.draws += n * m
+        getrandbits = self._getrandbits
+        if n == 2:  # the draw from {1, 2} is one bit, the one from {1} none
+            return list(map(getrandbits, itertools.repeat(1, m)))
+        bounds = [(k, (k - 1).bit_length()) for k in range(n, 1, -1)]
+        out = []
+        for _ in range(m):
+            rank = 0
+            for k, bits in bounds:
+                r = getrandbits(bits)
+                while r >= k:
+                    r = getrandbits(bits)
+                rank = rank * k + r  # Horner over the radices n, n-1, ..., 2
+            out.append(rank)
+        return out
 
     def skip(self, ks) -> None:
         """Consume exactly what ``uniform_seq(ks)`` would, building no values.

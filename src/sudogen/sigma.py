@@ -14,6 +14,7 @@ single integer AND.  Blind bit-sampling, ``gen_sigma_rejection``, is in
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator
 
@@ -135,15 +136,25 @@ def block_order(rows: list[list[int]]) -> int:
 
 def _phi_mask(rows: list[list[int]], n: int) -> int:
     # Trusted hot path: caller guarantees rows is a valid pi matrix.
-    mask = 0
+    # Block (s, t) gets its 1 at entry ((s*n + k - 1), (t*n + l - 1)) for
+    # k = rows[s][t] and l = rows[n + t][s], which is bit
+    # base + k * side + l with base from _phi_plan.
     side = n * n
-    for s in range(n):
-        row_s = rows[s]
-        for t in range(n):
-            k = row_s[t]
-            l = rows[n + t][s]
-            mask |= 1 << ((s * n + k - 1) * side + (t * n + l - 1))
+    mask = 0
+    for s, t, u, base in _phi_plan(n):
+        mask |= 1 << (base + rows[s][t] * side + rows[u][s])
     return mask
+
+
+@functools.lru_cache(maxsize=32)
+def _phi_plan(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    # (s, t, n + t, base) per block of order n, base being the bit of
+    # block (s, t)'s entry (k, l) less k * side + l.  O(n^2) entries,
+    # fewer than the n^4 bits of one mask of that order.
+    side = n * n
+    return tuple(
+        (s, t, n + t, (s * n - 1) * side + t * n - 1) for s in range(n) for t in range(n)
+    )
 
 
 def phi(rows: list[list[int]]) -> SigmaMatrix:

@@ -14,8 +14,9 @@ class ScriptedSource:
     fits in 1..k) and records k in ``calls``, so tests can pin down both
     the exact draws an algorithm makes and what it does with them.
     ``uniform_seq(ks)``, ``skip(ks)`` and ``bits(m)`` make one such draw
-    per k (k = 2 for each bit), so ``calls`` records batched and skipped
-    draws too.
+    per k (k = 2 for each bit), and ``perm_ranks(n, m)`` one per k = n,
+    n-1, ..., 1 of each run, so ``calls`` records batched, skipped and
+    ranked draws as ``uniform_seq`` would make them.
     """
 
     def __init__(self, values):
@@ -46,9 +47,31 @@ class ScriptedSource:
     def skip(self, ks) -> None:
         self.uniform_seq(ks)
 
+    def perm_ranks(self, n: int, m: int) -> list[int]:
+        ranks = []
+        for _ in range(m):
+            rank = 0
+            for k in range(n, 0, -1):
+                rank = rank * k + self.uniform_int(k) - 1
+            ranks.append(rank)
+        return ranks
+
     @property
     def exhausted(self) -> bool:
         return self.pos == len(self.values)
+
+
+def reference_phi_mask(rows, n):
+    """Per-entry φ: block (s, t) gets its 1 at row s*n + k - 1 and column
+    t*n + l - 1, for k = rows[s][t] and l = rows[n + t][s]."""
+    side = n * n
+    mask = 0
+    for s in range(n):
+        for t in range(n):
+            k = rows[s][t]
+            l = rows[n + t][s]
+            mask |= 1 << ((s * n + k - 1) * side + (t * n + l - 1))
+    return mask
 
 
 def reference_to_rows(a):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sudogen.perm as perm_mod
+import sudogen.pi as pi_mod
 from conftest import ScriptedSource
 from sudogen import (
     BudgetExhaustedError,
@@ -17,7 +18,7 @@ from sudogen import (
     gen_pi_direct,
     is_permutation,
 )
-from sudogen.perm import _decode_loop, _perm_table
+from sudogen.perm import _decode_loop, _perm_rows
 from sudogen.pi import _pi_draw_bounds
 
 
@@ -167,12 +168,12 @@ class TestDecodeTable:
     # the ids name the decode these tests exercise: the shift deletion
     @pytest.mark.parametrize("n", [1, 2, 3, 4], ids="{}-shift".format)
     def test_every_run_decodes_as_the_loop_does(self, n):
+        # product lists the runs in rank order (RandomSource.perm_ranks)
         runs = list(product(*[range(1, k + 1) for k in range(n, 0, -1)]))
-        table = _perm_table(n)
-        assert set(table) == set(runs)
-        assert len(set(table.values())) == factorial(n)
-        for run in runs:
-            assert list(table[run]) == _decode_loop(list(run), n)[0]
+        rows = _perm_rows(n)
+        assert len(rows) == len(set(rows)) == factorial(n)
+        for run, row in zip(runs, rows, strict=True):
+            assert list(row) == _decode_loop(list(run), n)[0]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4], ids="{}-shift".format)
     def test_seeded_generators_return_the_loop_rows(self, n):
@@ -199,9 +200,12 @@ class TestDecodeTable:
         def refuse(n):
             raise AssertionError(f"table built for order {n}")
 
-        monkeypatch.setattr(perm_mod, "_perm_table", refuse)
+        monkeypatch.setattr(perm_mod, "_perm_rows", refuse)
+        monkeypatch.setattr(pi_mod, "_perm_rows", refuse)
         assert is_permutation(gen_perm_direct(64, RandomSource(1)))
         assert len(gen_pi_direct(64, RandomSource(1))) == 128
         assert is_permutation(gen_perm_direct(5, RandomSource(1)))
         with pytest.raises(AssertionError, match="table built for order 4"):
             gen_perm_direct(4, RandomSource(1))
+        with pytest.raises(AssertionError, match="table built for order 4"):
+            gen_pi_direct(4, RandomSource(1))

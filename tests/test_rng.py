@@ -280,3 +280,51 @@ def test_bits_refuses_bad_counts_before_drawing(m):
         src.bits(m)
     assert src.draws == 0
     assert src._getrandbits(64) == RandomSource(8)._getrandbits(64)
+
+
+def lehmer_ranks(xs, n):
+    # rank of each run of n draws x_n, ..., x_1 (x_k from 1..k): the sum
+    # of (x_k - 1) * (k - 1)!
+    runs = [xs[i : i + n] for i in range(0, len(xs), n)]
+    return [
+        sum((x - 1) * math.factorial(n - 1 - i) for i, x in enumerate(run)) for run in runs
+    ]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    n=st.integers(min_value=1, max_value=6),
+    m=st.integers(min_value=0, max_value=12),
+)
+@settings(max_examples=300)
+def test_perm_ranks_are_the_lehmer_ranks_of_uniform_seq(seed, n, m):
+    fast = RandomSource(seed)
+    slow = RandomSource(seed)
+    ranks = fast.perm_ranks(n, m)
+    assert ranks == lehmer_ranks(slow.uniform_seq(tuple(range(n, 0, -1)) * m), n)
+    assert all(0 <= r < math.factorial(n) for r in ranks)
+    assert fast.draws == slow.draws == n * m
+    assert fast._getrandbits(32) == slow._getrandbits(32)
+
+
+@pytest.mark.parametrize(
+    "n, m, name",
+    [
+        (0, 1, "n"),
+        (-2, 1, "n"),
+        (True, 1, "n"),
+        (2.0, 1, "n"),
+        ("3", 1, "n"),
+        (None, 1, "n"),
+        (2, -1, "m"),
+        (3, False, "m"),
+        (2, 1.5, "m"),
+        (4, "2", "m"),
+    ],
+)
+def test_perm_ranks_refuses_bad_arguments_before_drawing(n, m, name):
+    src = RandomSource(6)
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= {int(name == 'n')}"):
+        src.perm_ranks(n, m)
+    assert src.draws == 0
+    assert src._getrandbits(64) == RandomSource(6)._getrandbits(64)

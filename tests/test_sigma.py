@@ -15,6 +15,7 @@ from conftest import (
     ScriptedSource,
     reference_ones,
     reference_phi_inverse,
+    reference_phi_mask,
     reference_to_rows,
 )
 from sudogen import (
@@ -30,7 +31,7 @@ from sudogen import (
     phi_inverse,
     sigma_disjoint,
 )
-from sudogen.sigma import block_order
+from sudogen.sigma import _phi_mask, block_order
 
 
 def perm_matrix(p):
@@ -131,6 +132,18 @@ class TestPhi:
             (s * n + rows[s][t], t * n + rows[n + t][s]) for s in range(n) for t in range(n)
         ]
         assert phi(rows) == SigmaMatrix.from_ones(n, ones)
+
+
+class TestPhiMaskMatchesReference:
+    def test_every_order_two_matrix(self, pi16):
+        for rows in pi16:
+            assert _phi_mask(rows, 2) == reference_phi_mask(rows, 2)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_seeded_orders(self, n):
+        for seed in range(20):
+            rows = gen_pi_direct(n, RandomSource(seed))
+            assert _phi_mask(rows, n) == reference_phi_mask(rows, n)
 
 
 class TestPhiInverse:
