@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     BENCH_IDS,
@@ -308,8 +308,7 @@ def _frac_dict(value: Fraction) -> dict:
     }
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     """Result of one Monte Carlo acceptance-probability estimation."""
 
     generator_id: str
@@ -392,20 +391,18 @@ def estimate_p(
     )
 
 
-@dataclass(frozen=True)
-class BenchPoint:
+class BenchPoint(NamedTuple):
     n: int
     median_s: float
     mad_s: float
 
 
-@dataclass
-class BenchReport:
+class BenchReport(NamedTuple):
     """Timing table with a log-log scaling exponent across sizes."""
 
     generator_id: str
     repetitions: int
-    points: list[BenchPoint] = field(default_factory=list)
+    points: list[BenchPoint]
     slope: float | None = None
     slope_stderr: float | None = None
     intercept: float | None = None
@@ -422,10 +419,7 @@ class BenchReport:
         return {
             "generator_id": self.generator_id,
             "repetitions": self.repetitions,
-            "points": [
-                {"n": p.n, "median_s": p.median_s, "mad_s": p.mad_s}
-                for p in self.points
-            ],
+            "points": [p._asdict() for p in self.points],
             "slope": self.slope,
             "slope_stderr": self.slope_stderr,
             "slope_ci95": list(ci) if ci is not None else None,
@@ -488,27 +482,20 @@ def bench_tau(
         mad = statistics.median(abs(t - med) for t in times)
         points.append(BenchPoint(n=n, median_s=med, mad_s=mad))
 
-    report = BenchReport(
-        generator_id=generator_id,
-        repetitions=repetitions,
-        points=points,
-        seed=source.seed,
-    )
+    slope = slope_stderr = intercept = None
     if len({p.n for p in points}) >= 2:
         xs = [math.log2(p.n) for p in points]
         ys = [math.log2(p.median_s) for p in points]
-        fit = statistics.linear_regression(xs, ys)
-        report.slope = fit.slope
-        report.intercept = fit.intercept
+        slope, intercept = statistics.linear_regression(xs, ys)
         if len(points) >= 3:
             x_mean = statistics.fmean(xs)
             sxx = sum((x - x_mean) ** 2 for x in xs)
-            sse = sum(
-                (y - (fit.slope * x + fit.intercept)) ** 2 for x, y in zip(xs, ys)
-            )
+            sse = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
             if sxx > 0:
-                report.slope_stderr = math.sqrt(sse / (len(points) - 2) / sxx)
-    return report
+                slope_stderr = math.sqrt(sse / (len(points) - 2) / sxx)
+    return BenchReport(
+        generator_id, repetitions, points, slope, slope_stderr, intercept, source.seed
+    )
 
 
 def chi_square_uniform(counts: list[int]) -> float:

@@ -125,9 +125,10 @@ class RandomSource:
         """m fair bits (0 or 1): ``uniform_seq((2,) * m)`` minus one each.
 
         Makes the same ``getrandbits(1)`` calls and adds m to ``draws``.
-        ValueError, before drawing, unless m is an int >= 0 (not a bool).
+        ValueError, before drawing, unless m is an int >= 0 (its type exactly
+        ``int``: bools and other subclasses are refused).
         """
-        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+        if type(m) is not int or m < 0:
             raise ValueError(f"m must be an integer >= 0, got {m!r}")
         self.draws += m
         return list(map(self._getrandbits, itertools.repeat(1, m)))
@@ -142,11 +143,12 @@ class RandomSource:
         and adds n * m to ``draws``: at n = 2 one ``getrandbits(1)`` per
         run, made as ``bits`` makes them, otherwise ``uniform_int``'s
         rejection loop per bound above 1.  ValueError, before drawing,
-        unless n is an int >= 1 and m an int >= 0 (bools refused).
+        unless n is an int >= 1 and m an int >= 0 (types exactly ``int``:
+        bools and other subclasses are refused).
         """
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError(f"n must be an integer >= 1, got {n!r}")
-        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+        if type(m) is not int or m < 0:
             raise ValueError(f"m must be an integer >= 0, got {m!r}")
         self.draws += n * m
         getrandbits = self._getrandbits

@@ -6,9 +6,10 @@ the number of pi matrices of order n, and the two families are linked
 by a constructive bijection: block (s, t) gets its 1 at in-block row
 ``p[s][t]`` and in-block column ``p[n+t][s]``.
 
-Storage is a packed bitset (one Python int, bit (i-1)*n^2 + (j-1) for
-global 1-based position (i, j)), so disjointness of two matrices is a
-single integer AND.  Blind bit-sampling, ``gen_sigma_rejection``, is in
+A ``SigmaMatrix`` is the named tuple ``(n, mask)``: the mask is a packed
+bitset (one Python int, bit (i-1)*n^2 + (j-1) for global 1-based
+position (i, j)), so disjointness of two matrices is a single integer
+AND.  Blind bit-sampling, ``gen_sigma_rejection``, is in
 :mod:`sudogen.analysis`, with the package's other rejection loops.
 """
 
@@ -16,46 +17,24 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .perm import _is_perm_trusted
 from .pi import check_pi, enumerate_pi
 
 
-class SigmaMatrix:
-    """Validated block permutation matrix in packed-bitset form.
+class SigmaMatrix(NamedTuple):
+    """Block permutation matrix of order ``n`` in packed-bitset form.
 
-    Immutable; two matrices are equal, and hash alike, iff their order
-    and mask are.  A plain slotted class rather than a dataclass, so
-    that importing it does not load :mod:`dataclasses`.
+    An immutable named tuple ``(n, mask)``, like ``sudoku.GenStats``:
+    equal, and hashing alike, iff order and mask are, with tuple
+    semantics besides (it equals the plain tuple ``(n, mask)``).  The
+    constructor does not validate the mask; ``from_rows`` and
+    ``from_ones`` do, and ``phi`` builds only valid ones.
     """
 
-    __slots__ = ("n", "mask")
-
-    def __init__(self, n: int, mask: int):
-        _set_n(self, n)
-        _set_mask(self, mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n and self.mask == other.mask
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.mask))
-
-    def __repr__(self) -> str:
-        return f"SigmaMatrix(n={self.n!r}, mask={self.mask!r})"
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, which frozen slots need
-        return SigmaMatrix, (self.n, self.mask)
+    n: int
+    mask: int
 
     @property
     def side(self) -> int:
@@ -100,12 +79,6 @@ class SigmaMatrix:
     def to_rows(self) -> list[list[int]]:
         """Dense 0/1 row lists."""
         return [list(map(int, row)) for row in _bit_rows(self)]
-
-
-# SigmaMatrix.__init__ fills its slots through their descriptors, which
-# costs less than object.__setattr__ and bypasses the refusing __setattr__.
-_set_n = SigmaMatrix.n.__set__
-_set_mask = SigmaMatrix.mask.__set__
 
 
 def _bit_rows(a: SigmaMatrix) -> list[str]:

@@ -429,6 +429,13 @@ class TestBench:
         bench_tau("perm-direct", [5], repetitions=3, source=src)
         assert src.draws == (2 + 3) * 5
 
+    def test_estimate_and_bench_reports_refuse_assignment(self):
+        estimate = estimate_p("perm-rejection", 2, 100, RandomSource(5))
+        bench = bench_tau("perm-direct", [4, 8], repetitions=2, source=RandomSource(9))
+        for report, name in ((estimate, "successes"), (bench, "slope")):
+            with pytest.raises(AttributeError):
+                setattr(report, name, 0)
+
     def test_default_source_records_its_seed(self):
         report = bench_tau("perm-direct", [4], repetitions=2)
         assert report.seed is not None

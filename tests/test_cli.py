@@ -30,6 +30,7 @@ from sudogen import (
     parse_pi,
     phi,
 )
+from sudogen import cli
 from sudogen.cli import _COMMANDS, main
 
 EXAMPLE = [[1, 2, 3, 4], [3, 4, 1, 2], [2, 1, 4, 3], [4, 3, 2, 1]]
@@ -56,6 +57,10 @@ def run(*args, input=None):
     finally:
         sys.stdin, sys.stdout, sys.stderr = saved
     return Result(code, stdout.getvalue(), stderr.getvalue())
+
+
+def unreachable(*args):
+    raise AssertionError("a refused request got past its guard")
 
 
 def ok(*args, input=None):
@@ -163,6 +168,15 @@ class TestGenSigma:
     def test_rejection_refused_large_order(self):
         result = run("gen-sigma", "--n", "3", "--seed", "8", "--algorithm", "rejection")
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("algorithm", ["direct", "rejection"])
+    def test_extreme_order_refused_before_anything_is_built(self, monkeypatch, algorithm):
+        for name in ("gen_pi_direct", "phi"):
+            monkeypatch.setattr(cli, name, unreachable)
+        n = 10**9
+        result = run("gen-sigma", "--n", str(n), "--seed", "1", "--algorithm", algorithm)
+        assert result.exit_code == 3
+        assert f"order {n} has n^4 = {n**4} entries" in result.stderr
 
 
 class TestGenSudoku:
@@ -432,6 +446,13 @@ class TestMapAndLayers:
 
     def test_phi_rejects_invalid_pi(self):
         assert run("map", "--phi", input="1,1\n1,2\n1,2\n2,1\n").exit_code == 1
+
+    def test_phi_refuses_an_order_past_the_bound_before_mapping(self, monkeypatch):
+        monkeypatch.setattr(cli, "phi", unreachable)
+        n = cli._MAX_SIGMA_ORDER + 1
+        result = run("map", "--phi", input=format_pi([list(range(1, n + 1))] * (2 * n)))
+        assert result.exit_code == 3
+        assert f"order {n} has n^4 = {n**4} entries" in result.stderr
 
     def test_phi_inverse_rejects_non_block_matrix(self):
         identity = "\n".join(

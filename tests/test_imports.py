@@ -128,6 +128,20 @@ class TestImportDiet:
         loaded = loaded_modules("import sudogen; sudogen.sudoku.decompose; sudogen.errors")
         assert {"sudogen.sudoku", "sudogen.errors"} <= loaded
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["estimate", "--generator", "perm-rejection", "--n", "2", "--samples", "100"],
+            ["bench", "--generator", "perm-direct", "--sizes", "2,3", "--repetitions", "1"],
+            ["gen-perm", "--n", "3", "--algorithm", "rejection"],
+        ],
+        ids=["estimate", "bench", "gen-perm-rejection"],
+    )
+    def test_analysis_commands_load_no_click_or_dataclasses(self, args):
+        loaded = loaded_modules(RUN_CLI, *args, "--seed", "1")
+        assert "sudogen.analysis" in loaded
+        assert sorted(loaded & set(PARSER_AND_DATACLASSES)) == []
+
     def test_analysis_loads_when_a_command_needs_it(self):
         args = ["gen-perm", "--n", "3", "--seed", "1", "--algorithm", "rejection"]
         assert "sudogen.analysis" in loaded_modules(RUN_CLI, *args)

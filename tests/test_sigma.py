@@ -73,7 +73,7 @@ class TestSigmaMatrixType:
         assert a == b and hash(a) == hash(b)
         assert a != c and SigmaMatrix(3, 5) != a
         assert len({a, b, c}) == 2
-        assert a != (2, 5)  # not a tuple
+        assert a == (2, 5)  # a named tuple
         assert repr(a) == "SigmaMatrix(n=2, mask=5)"
 
     def test_immutable(self):
