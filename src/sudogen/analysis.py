@@ -30,7 +30,7 @@ from .errors import (
     UnknownSigmaError,
 )
 from .perm import _is_perm_trusted, gen_perm_direct, is_permutation
-from .pi import _pi_draw_bounds, gen_pi_direct, is_pi
+from .pi import gen_pi_direct, is_pi
 from .rng import RandomSource
 from .sigma import SigmaMatrix, _phi_mask, is_sigma
 from .sudoku import SIGMA_COUNTS, compose, is_sudoku
@@ -191,7 +191,7 @@ def _draw_sudoku(n, source):
     for k in range(side):
         mask = _phi_mask(gen_pi_direct(n, source), n)
         if acc & mask:
-            source.skip(_pi_draw_bounds(n) * (side - 1 - k))
+            source.skip_ranks(n, 2 * n * (side - 1 - k))
             break
         acc |= mask
         masks.append(mask)

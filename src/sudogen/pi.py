@@ -11,7 +11,6 @@ those terms.  The blind generator ``gen_pi_rejection`` is in
 
 from __future__ import annotations
 
-import functools
 from itertools import permutations, product
 from typing import Iterator
 
@@ -60,15 +59,9 @@ def gen_pi_direct(n: int, source: RandomSource) -> list[list[int]]:
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if n > _TABLE_MAX_ORDER:
-        return _decode_loop(source.uniform_seq(_pi_draw_bounds(n)), n)
+        return _decode_loop(source.uniform_seq(tuple(range(n, 0, -1)) * (2 * n)), n)
     rows = _perm_rows(n)
     return [list(rows[r]) for r in source.perm_ranks(n, 2 * n)]
-
-
-@functools.cache
-def _pi_draw_bounds(n: int) -> tuple[int, ...]:
-    # The k of each draw gen_pi_direct(n, ...) makes, in order.
-    return tuple(range(n, 0, -1)) * (2 * n)
 
 
 def pi_disjoint(c: list[list[int]], d: list[list[int]]) -> bool:
@@ -76,13 +69,12 @@ def pi_disjoint(c: list[list[int]], d: list[list[int]]) -> bool:
 
     The selector pair of (s, t) is (rows[s][t], rows[n+t][s]), 1-based.
     Two pi matrices are disjoint exactly when their block permutation
-    images share no 1-entry.  O(n^2); orders must match.
+    images share no 1-entry.  O(n^2).  ValueError, under ``python -O``
+    too, if either input is not a pi matrix or their orders differ.
     """
-    n = len(c) // 2
-    if len(c) != len(d) or (c and d and len(c[0]) != len(d[0])):
-        raise ValueError(f"order mismatch: {len(c) // 2} vs {len(d) // 2}")
-    if __debug__:
-        assert is_pi(c) and is_pi(d), "pi_disjoint called on invalid matrix"
+    n, m = check_pi(c), check_pi(d)
+    if n != m:
+        raise ValueError(f"order mismatch: {n} vs {m}")
     for s in range(n):
         cs = c[s]
         ds = d[s]

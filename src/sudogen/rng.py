@@ -9,12 +9,13 @@ Values are mapped to ``{1..k}`` by drawing the minimal number of bits
 and rejecting draws that land in the biased remainder range, so every
 value has probability exactly 1/k.
 
-A bound that is a power of two, k = 2^b, never rejects: its draw is one
-``getrandbits(b)`` call, which takes ceil(b/32) of the engine's 32-bit
-output words (none for k = 1).  ``RandomSource.bits`` and
-``RandomSource.skip`` rely on that to make runs of such draws in one
-call without changing the stream, and ``RandomSource.perm_ranks`` to
-draw order-2 permutations as one ``getrandbits(1)`` each.
+A draw from {1, 2} never rejects: it is one ``getrandbits(1)`` call,
+which takes one of the engine's 32-bit output words.
+``RandomSource.bits`` relies on that to make runs of such draws in one
+call without changing the stream, ``RandomSource.perm_ranks`` to draw
+order-2 permutations as one ``getrandbits(1)`` each, and
+``RandomSource.skip_ranks`` to skip m of them as one
+``getrandbits(32 * m)`` call.
 
 Independent attempts must not share a source; they derive child seeds
 from a root seed with :func:`derive_seed` (a splitmix64 mix of the root
@@ -23,7 +24,6 @@ and the attempt index).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 
@@ -64,10 +64,11 @@ class RandomSource:
     A source is single-consumer: it may be handed from one thread to
     another but never used from two at once.  ``draws`` counts the
     values drawn, one per ``uniform_int`` call, one per entry of a
-    ``uniform_seq`` or ``skip`` call, one per bit of ``bits`` and n per
-    rank of ``perm_ranks(n, m)``, for instrumentation.  All five consume
-    the engine as one ``uniform_int`` call per value would, so batching,
-    ranking or skipping draws never changes a seeded stream.
+    ``uniform_seq`` call, one per bit of ``bits`` and n per rank of
+    ``perm_ranks(n, m)`` or ``skip_ranks(n, m)``, for instrumentation.
+    All five consume the engine as one ``uniform_int`` call per value
+    would, so batching, ranking or skipping draws never changes a seeded
+    stream.
     """
 
     def __init__(self, seed: int | None = None):
@@ -166,36 +167,21 @@ class RandomSource:
             out.append(rank)
         return out
 
-    def skip(self, ks) -> None:
-        """Consume exactly what ``uniform_seq(ks)`` would, building no values.
+    def skip_ranks(self, n: int, m: int) -> None:
+        """Consume exactly what ``perm_ranks(n, m)`` would, building no ranks.
 
-        Moves the engine and ``draws`` as that call would.  When every k
-        is a power of two, no draw rejects, so the draws together take a
-        fixed number of 32-bit words, made as one ``getrandbits`` call;
-        other bounds fall back to ``uniform_seq``.  ValueError if any
-        k < 1, raised before anything is drawn.
+        Moves the engine and ``draws`` as that call would, and refuses
+        what it refuses, before drawing.  At n = 2 each rank is one
+        ``getrandbits(1)`` call, which takes one 32-bit word, so the m
+        ranks are skipped as one ``getrandbits(32 * m)`` call; every
+        other order calls ``perm_ranks``.
         """
-        ks = tuple(ks)  # hashable for the cache; a tuple is not copied
-        words = _skip_words(ks)
-        if words is None:
-            self.uniform_seq(ks)
+        if n != 2 or type(n) is not int or type(m) is not int or m < 0:
+            self.perm_ranks(n, m)
             return
-        self.draws += len(ks)
-        self._getrandbits(32 * words)
+        self.draws += 2 * m
+        self._getrandbits(32 * m)
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed})"
 
-
-@functools.lru_cache(maxsize=32)
-def _skip_words(ks: tuple) -> int | None:
-    # The 32-bit words uniform_seq(ks) takes when every k is a power of
-    # two (2^b takes ceil(b / 32), 1 takes none), else None.
-    if ks and min(ks) < 1:
-        raise ValueError(f"k must be >= 1, got {min(ks)}")
-    words = 0
-    for k in ks:
-        if k & (k - 1):
-            return None
-        words += (k.bit_length() + 30) // 32
-    return words

@@ -171,38 +171,30 @@ def phi_inverse(a: SigmaMatrix) -> list[list[int]]:
     return rows
 
 
-_BINARY = frozenset((0, 1))
-
-
 def is_sigma(rows: list[list[int]]) -> bool:
-    """Membership check for dense 0/1 matrices, in three phases.
+    """Membership check for dense 0/1 matrices, in two phases.
 
-    Phase 1 requires every entry to be 0 or 1, one set test per row.
-    Phase 2 requires every row sum and then every column sum to be 1,
-    exiting at the first that is not; the matrix is then a permutation
-    matrix.  Phase 3 locates the 1 of each row and requires the n^2 ones
+    Phase 1 counts the 0s and 1s of every row: each entry must be one or
+    the other, and each row must hold exactly one 1; the column of each
+    row's 1 is then its only one.  Phase 2 requires those n^2 columns to
+    be distinct, so the matrix is a permutation matrix, and the n^2 ones
     to fall in n^2 distinct n x n blocks.  The side must be a perfect
     square and entries must be 0/1; anything else is a malformed
     candidate and raises ValueError naming the first bad entry.
     """
     n = block_order(rows)
+    single = True
     for i, row in enumerate(rows, start=1):
-        try:
-            binary = _BINARY.issuperset(row)
-        except TypeError:  # an unhashable entry
-            binary = False
-        if not binary:
-            for v in row:
-                if v not in (0, 1):
-                    raise ValueError(f"entry {v!r} in row {i} is not binary")
-    for row in rows:
-        if sum(row) != 1:
-            return False
-    for column in zip(*rows):
-        if sum(column) != 1:
-            return False
-    blocks = {(i // n, row.index(1) // n) for i, row in enumerate(rows)}
-    return len(blocks) == n * n
+        ones = row.count(1)
+        if ones + row.count(0) != len(row):
+            bad = next(v for v in row if v not in (0, 1))
+            raise ValueError(f"entry {bad!r} in row {i} is not binary")
+        single = single and ones == 1
+    if not single:
+        return False
+    columns = [row.index(1) for row in rows]
+    blocks = {(i // n, j // n) for i, j in enumerate(columns)}
+    return len(set(columns)) == len(blocks) == n * n
 
 
 def sigma_disjoint(a: SigmaMatrix, b: SigmaMatrix) -> bool:

@@ -13,10 +13,10 @@ class ScriptedSource:
     Each ``uniform_int(k)`` pops the next scripted value (asserting it
     fits in 1..k) and records k in ``calls``, so tests can pin down both
     the exact draws an algorithm makes and what it does with them.
-    ``uniform_seq(ks)``, ``skip(ks)`` and ``bits(m)`` make one such draw
-    per k (k = 2 for each bit), and ``perm_ranks(n, m)`` one per k = n,
-    n-1, ..., 1 of each run, so ``calls`` records batched, skipped and
-    ranked draws as ``uniform_seq`` would make them.
+    ``uniform_seq(ks)`` and ``bits(m)`` make one such draw per k (k = 2
+    for each bit), and ``perm_ranks(n, m)`` and ``skip_ranks(n, m)`` one
+    per k = n, n-1, ..., 1 of each run, so ``calls`` records batched,
+    skipped and ranked draws as ``uniform_seq`` would make them.
     """
 
     def __init__(self, values):
@@ -44,9 +44,6 @@ class ScriptedSource:
     def bits(self, m: int) -> list[int]:
         return [self.uniform_int(2) - 1 for _ in range(m)]
 
-    def skip(self, ks) -> None:
-        self.uniform_seq(ks)
-
     def perm_ranks(self, n: int, m: int) -> list[int]:
         ranks = []
         for _ in range(m):
@@ -55,6 +52,9 @@ class ScriptedSource:
                 rank = rank * k + self.uniform_int(k) - 1
             ranks.append(rank)
         return ranks
+
+    def skip_ranks(self, n: int, m: int) -> None:
+        self.perm_ranks(n, m)
 
     @property
     def exhausted(self) -> bool:

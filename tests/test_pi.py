@@ -133,6 +133,15 @@ class TestDisjointness:
         with pytest.raises(ValueError):
             pi_disjoint([[1], [1]], [[1, 2], [2, 1], [1, 2], [2, 1]])
 
+    @pytest.mark.parametrize("second", [False, True])
+    def test_invalid_matrix_is_refused(self, second):
+        # a ValueError under python -O too, not an assert
+        valid = [[1, 2], [2, 1], [1, 2], [2, 1]]
+        bad = [[1, 2], [2, 2], [1, 2], [2, 1]]
+        args = (valid, bad) if second else (bad, valid)
+        with pytest.raises(ValueError, match="row 2 is not a permutation of 1..2"):
+            pi_disjoint(*args)
+
     def test_known_disjoint_pair(self):
         a = [[1, 2], [1, 2], [1, 2], [1, 2]]
         b = [[2, 1], [2, 1], [1, 2], [1, 2]]

@@ -7,8 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from sudogen import RandomSource, chi_square_uniform, derive_seed, entropy_seed
+from sudogen import (
+    RandomSource,
+    chi_square_uniform,
+    derive_seed,
+    entropy_seed,
+    gen_pi_direct,
+)
+from sudogen.analysis import _draw_sudoku
 from sudogen.rng import splitmix64
+from sudogen.sigma import _phi_mask
 
 
 def test_same_seed_same_sequence():
@@ -198,61 +206,6 @@ def test_chi_square_uniform_helper():
         chi_square_uniform([0, 0])
 
 
-# Power-of-two bounds whose draws take zero, one, two and three 32-bit
-# words, and non-powers that send skip to its uniform_seq fallback.
-POW2_BOUNDS = [1, 2, 4, 2**31, 2**32, 2**33, 2**64, 2**65]
-OTHER_BOUNDS = [3, 5, 6]
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**64 - 1),
-    ks=st.lists(st.sampled_from(POW2_BOUNDS + OTHER_BOUNDS), max_size=30),
-    as_tuple=st.booleans(),
-)
-@settings(max_examples=300)
-def test_skip_consumes_what_uniform_seq_does(seed, ks, as_tuple):
-    skipped = RandomSource(seed)
-    drawn = RandomSource(seed)
-    assert skipped.skip(tuple(ks) if as_tuple else ks) is None
-    drawn.uniform_seq(ks)
-    assert skipped.draws == drawn.draws == len(ks)
-    assert skipped._getrandbits(64) == drawn._getrandbits(64)
-
-
-@pytest.mark.parametrize("k", POW2_BOUNDS + OTHER_BOUNDS)
-def test_skip_each_bound(k):
-    for count in (1, 3):
-        skipped = RandomSource(k % 997)
-        drawn = RandomSource(k % 997)
-        skipped.skip((k,) * count)
-        drawn.uniform_seq((k,) * count)
-        assert skipped.draws == drawn.draws == count
-        assert skipped._getrandbits(64) == drawn._getrandbits(64)
-
-
-def test_skip_takes_an_empty_tuple_and_an_iterator():
-    src = RandomSource(11)
-    twin = RandomSource(11)
-    src.skip(())
-    src.skip([])
-    assert src.draws == 0
-    src.skip(iter([2, 1, 2, 1, 8]))
-    src.skip(k for k in [3, 2])
-    twin.uniform_seq([2, 1, 2, 1, 8, 3, 2])
-    assert src.draws == twin.draws == 7
-    assert src._getrandbits(64) == twin._getrandbits(64)
-
-
-@pytest.mark.parametrize("ks", [[0], (0,), [2, 0], (4, 1, -1), [3, 0], [-4, 7]])
-def test_skip_rejects_k_below_one_before_drawing(ks):
-    src = RandomSource(9)
-    twin = RandomSource(9)
-    with pytest.raises(ValueError, match="k must be >= 1"):
-        src.skip(ks)
-    assert src.draws == 0
-    assert src._getrandbits(64) == twin._getrandbits(64)
-
-
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
     m=st.integers(min_value=0, max_value=80),
@@ -328,3 +281,58 @@ def test_perm_ranks_refuses_bad_arguments_before_drawing(n, m, name):
         src.perm_ranks(n, m)
     assert src.draws == 0
     assert src._getrandbits(64) == RandomSource(6)._getrandbits(64)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    n=st.integers(min_value=1, max_value=6),
+    m=st.integers(min_value=0, max_value=24),
+)
+@settings(max_examples=300)
+def test_skip_ranks_consumes_what_perm_ranks_does(seed, n, m):
+    skipped = RandomSource(seed)
+    ranked = RandomSource(seed)
+    assert skipped.skip_ranks(n, m) is None
+    ranked.perm_ranks(n, m)
+    assert skipped.draws == ranked.draws == n * m
+    assert skipped._getrandbits(64) == ranked._getrandbits(64)
+
+
+@pytest.mark.parametrize(
+    "n, m, name",
+    [
+        (0, 1, "n"),
+        (-2, 1, "n"),
+        (True, 1, "n"),
+        (2.0, 1, "n"),
+        (2.0, 3, "n"),
+        ("2", 1, "n"),
+        (None, 1, "n"),
+        (2, -1, "m"),
+        (2, True, "m"),
+        (2, 1.5, "m"),
+        (2, "2", "m"),
+        (3, False, "m"),
+        (3, -1, "m"),
+    ],
+)
+def test_skip_ranks_refuses_what_perm_ranks_refuses_before_drawing(n, m, name):
+    src = RandomSource(6)
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= {int(name == 'n')}"):
+        src.skip_ranks(n, m)
+    assert src.draws == 0
+    assert src._getrandbits(64) == RandomSource(6)._getrandbits(64)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_order_three_sudoku_attempt_skips_through_perm_ranks(seed):
+    # bench_tau times sudoku-rejection attempts at n = 3, where skip_ranks
+    # falls back to perm_ranks: the attempt must consume nine layers' draws
+    src = RandomSource(seed)
+    twin = RandomSource(seed)
+    masks = _draw_sudoku(3, src)
+    layers = [_phi_mask(gen_pi_direct(3, twin), 3) for _ in range(9)]
+    assert src.draws == twin.draws == 162
+    assert src._getrandbits(64) == twin._getrandbits(64)
+    assert len(masks) < 9  # an early exit, so the skip ran
+    assert masks == layers[: len(masks)]

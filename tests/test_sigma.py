@@ -262,6 +262,11 @@ class TestIsSigma:
         rows = [[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         assert not is_sigma(rows)
 
+    def test_column_with_two_ones_in_distinct_blocks_fails(self):
+        # one 1 per row and per block, but rows 1 and 3 share column 1
+        rows = [[1, 0, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]]
+        assert not is_sigma(rows)
+
     def test_sixteen_of_24_permutation_matrices(self):
         hits = sum(1 for p in permutations(range(4)) if is_sigma(perm_matrix(p)))
         assert hits == 16
