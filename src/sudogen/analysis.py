@@ -36,14 +36,6 @@ from .sigma import SigmaMatrix, _phi_mask, is_sigma
 from .sudoku import SIGMA_COUNTS, compose, is_sudoku
 
 
-def ratio_as_float(num: int, den: int) -> float:
-    """num/den as a float; infinities instead of OverflowError."""
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf if num > den else 0.0
-
-
 # Largest denominator, in bits, that closed_form_p reduces.
 _MAX_EXACT_BITS = 2**21
 
@@ -119,7 +111,7 @@ def _refuse(generator_id: str, n: int) -> None:
         log2_expected = n**4 - 2 * n * math.lgamma(n + 1) / math.log(2)
         if log2_expected < 1000:
             accepted, space = _acceptance_terms(generator_id, n)
-            expected = ratio_as_float(space, accepted)
+            expected = space / accepted
             about = f"{expected:.3g}"
         else:
             expected = math.inf
@@ -146,7 +138,7 @@ def _refuse(generator_id: str, n: int) -> None:
             f"the Sudoku-matrix count is unknown for order {n}; the layer-tuple "
             f"sample space alone has {digits} decimal digits",
         ) from None
-    expected = ratio_as_float(space, accepted)
+    expected = space / accepted
     raise InfeasibleError(
         f"blind layer-tuple sampling at order {n} accepts with probability "
         f"about 1/{expected:.3g}; expected {expected:.3g} iterations",
@@ -304,7 +296,7 @@ def _frac_dict(value: Fraction) -> dict:
     return {
         "numerator": str(value.numerator),
         "denominator": str(value.denominator),
-        "float": ratio_as_float(value.numerator, value.denominator),
+        "float": float(value),
     }
 
 
@@ -435,10 +427,9 @@ def _bench_body(generator_id: str, n: int, source: RandomSource):
     if generator_id == "perm-check":
         cand = gen_perm_direct(n, source)
         return lambda: is_permutation(cand)
-    if generator_id == "sigma-check":
-        rows = SigmaMatrix(n, _phi_mask(gen_pi_direct(n, source), n)).to_rows()
-        return lambda: is_sigma(rows)
-    raise ValueError(f"unknown benchmark id {generator_id!r}")
+    # sigma-check, the one id left: bench_tau refuses unknown ids
+    rows = SigmaMatrix(n, _phi_mask(gen_pi_direct(n, source), n)).to_rows()
+    return lambda: is_sigma(rows)
 
 
 def bench_tau(

@@ -625,6 +625,9 @@ def main(argv: list[str] | None = None):
     if extra:
         # reported with the command's usage line, not the top-level one
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    # gen-perm, gen-pi and gen-sigma: refused before any check or draw
+    if vars(args).get("algorithm") == "direct" and args.max_iterations is not None:
+        args.parser.error("--max-iterations does not apply to --algorithm direct")
     try:
         args.run(args)
     except MatrixParseError as exc:

@@ -62,11 +62,18 @@ def gen_perm_direct(n: int, source: RandomSource) -> list[int]:
     times a lookup; the sizes whose slopes are gated (64 and up) still
     time the decode.
     """
+    return _draw_rows(n, 1, source)[0]
+
+
+def _draw_rows(n: int, m: int, source: RandomSource) -> list[list[int]]:
+    # The rows of m gen_perm_direct calls, drawn and decoded as it says,
+    # each a fresh list; gen_pi_direct draws its 2n rows here too.
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if n > _TABLE_MAX_ORDER:
-        return _decode_loop(source.uniform_seq(range(n, 0, -1)), n)[0]
-    return list(_perm_rows(n)[source.perm_ranks(n, 1)[0]])
+        return _decode_loop(source.uniform_seq(tuple(range(n, 0, -1)) * m), n)
+    rows = _perm_rows(n)
+    return [list(rows[r]) for r in source.perm_ranks(n, m)]
 
 
 _TABLE_MAX_ORDER = 4  # largest order decoded through _perm_rows

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import Iterator
 
-from .perm import _TABLE_MAX_ORDER, _decode_loop, _perm_rows, is_permutation
+from .perm import _draw_rows, is_permutation
 from .rng import RandomSource
 
 
@@ -51,17 +51,9 @@ def gen_pi_direct(n: int, source: RandomSource) -> list[list[int]]:
     """Uniform random pi matrix: one direct permutation per row, no rejection.
 
     Makes the 2n^2 draws of 2n ``gen_perm_direct`` calls, row after row,
-    and decodes each row as that function does: from order 5 on all of
-    them in one ``uniform_seq`` call, decoded by the shift deletion; up
-    to order 4 as 2n ranks in one ``RandomSource.perm_ranks`` call, each
-    row a fresh copy of that row of the shift decode's table.
+    and decodes each row as that function does; each row is a fresh list.
     """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if n > _TABLE_MAX_ORDER:
-        return _decode_loop(source.uniform_seq(tuple(range(n, 0, -1)) * (2 * n)), n)
-    rows = _perm_rows(n)
-    return [list(rows[r]) for r in source.perm_ranks(n, 2 * n)]
+    return _draw_rows(n, 2 * n, source)
 
 
 def pi_disjoint(c: list[list[int]], d: list[list[int]]) -> bool:

@@ -76,7 +76,8 @@ def is_sudoku(cells: list[list[int]]) -> bool:
 def compose(layers: list[SigmaMatrix]) -> list[list[int]]:
     """Sum k * layer_k over a full pairwise-disjoint stack of layers.
 
-    Requires exactly n^2 layers of matching order.  Raises
+    Requires exactly n^2 layers of matching order, with masks in
+    [0, 2^(n^4)); ValueError names the first layer that is not.  Raises
     CompositionError naming the first conflicting position if two layers
     overlap, or the first uncovered position if the union misses a cell.
     """
@@ -86,14 +87,15 @@ def compose(layers: list[SigmaMatrix]) -> list[list[int]]:
     side = n * n
     if len(layers) != side:
         raise ValueError(f"expected {side} layers for order {n}, got {len(layers)}")
-    for k, layer in enumerate(layers, start=1):
-        if layer.n != n:
-            raise ValueError(f"layer {k} has order {layer.n}, expected {n}")
     size = side * side
+    limit = 1 << size
     acc = 0
     flat = [0] * size  # cell (i, j) at i * side + j, as in the masks
-    for k, layer in enumerate(layers, start=1):
-        mask = layer.mask
+    for k, (order, mask) in enumerate(layers, start=1):
+        if order != n:
+            raise ValueError(f"layer {k} has order {order}, expected {n}")
+        if not 0 <= mask < limit:
+            raise ValueError(f"layer {k} mask is negative or has bits at or past n^4 = {size}")
         overlap = acc & mask
         if overlap:
             i, j = divmod((overlap & -overlap).bit_length() - 1, side)
@@ -107,7 +109,7 @@ def compose(layers: list[SigmaMatrix]) -> list[list[int]]:
             low = mask & -mask
             flat[low.bit_length() - 1] = k
             mask ^= low
-    missing = ~acc & ((1 << size) - 1)
+    missing = ~acc & (limit - 1)
     if missing:
         i, j = divmod((missing & -missing).bit_length() - 1, side)
         raise CompositionError(

@@ -179,6 +179,20 @@ class TestGenSigma:
         assert f"order {n} has n^4 = {n**4} entries" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "command,n", [("gen-perm", 3), ("gen-pi", 3), ("gen-sigma", 3), ("gen-sigma", 49)]
+)
+def test_max_iterations_under_direct_is_a_usage_error(monkeypatch, command, n):
+    # refused before gen-sigma's order bound and before any draw
+    for name in ("gen_perm_direct", "gen_pi_direct", "phi"):
+        monkeypatch.setattr(cli, name, unreachable)
+    result = run(command, "--n", str(n), "--seed", "1", "--max-iterations", "5")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"usage: sudogen {command}")
+    assert "error: --max-iterations does not apply to --algorithm direct" in result.stderr
+
+
 class TestGenSudoku:
     def test_layered_text(self):
         result = ok("gen-sudoku", "--n", "2", "--seed", "21")

@@ -18,6 +18,7 @@ CHEAP = [
     "sudogen gen-perm --n 8 --seed 42",
     "sudogen gen-perm --n 5 --seed 42 --algorithm rejection",
     "sudogen gen-pi --n 4 --seed 5",
+    "sudogen gen-pi --n 3 --seed 1 --max-iterations 5",
     "sudogen gen-sigma --n 3 --algorithm rejection",
     "sudogen gen-sudoku --n 3 --seed 7 --pretty --stats",
     "sudogen gen-sudoku --n 3 --seed 3 --parallel 2 --max-restarts 0 --stats",

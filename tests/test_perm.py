@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sudogen.perm as perm_mod
-import sudogen.pi as pi_mod
 from conftest import ScriptedSource
 from sudogen import (
     BudgetExhaustedError,
@@ -174,7 +173,8 @@ class TestDecodeTable:
         for run, row in zip(runs, rows, strict=True):
             assert list(row) == _decode_loop(list(run), n)[0]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4], ids="{}-shift".format)
+    # orders 1-4 draw ranks, 5 and 6 one uniform_seq run: both sides of the cutoff
+    @pytest.mark.parametrize("n", range(1, 7), ids="{}-shift".format)
     def test_seeded_generators_return_the_loop_rows(self, n):
         for gen, bounds in (
             (gen_perm_direct, range(n, 0, -1)),
@@ -182,11 +182,15 @@ class TestDecodeTable:
         ):
             for seed in range(200):
                 src, ref = RandomSource(seed), RandomSource(seed)
-                rows = _decode_loop(ref.uniform_seq(bounds), n)
-                got = gen(n, src)
-                assert got == (rows if gen is gen_pi_direct else rows[0])
+                script = ref.uniform_seq(bounds)
+                rows = _decode_loop(script, n)
+                want = rows if gen is gen_pi_direct else rows[0]
+                assert gen(n, src) == want
                 assert src.draws == ref.draws
                 assert src._getrandbits(32) == ref._getrandbits(32)
+            scripted = ScriptedSource(script)
+            assert gen(n, scripted) == want
+            assert scripted.calls == list(bounds)
 
     def test_rows_are_fresh_lists(self):
         rows = gen_pi_direct(2, ScriptedSource([1, 1] * 4))
@@ -200,7 +204,6 @@ class TestDecodeTable:
             raise AssertionError(f"table built for order {n}")
 
         monkeypatch.setattr(perm_mod, "_perm_rows", refuse)
-        monkeypatch.setattr(pi_mod, "_perm_rows", refuse)
         assert is_permutation(gen_perm_direct(64, RandomSource(1)))
         assert len(gen_pi_direct(64, RandomSource(1))) == 128
         assert is_permutation(gen_perm_direct(5, RandomSource(1)))

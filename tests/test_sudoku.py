@@ -217,6 +217,13 @@ class TestComposeDecompose:
         with pytest.raises(ValueError):
             compose(layers)
 
+    @pytest.mark.parametrize("stray", [1 << 16, -(1 << 20)], ids=["bit-16", "negative"])
+    def test_compose_rejects_a_mask_outside_the_grid(self, stray):
+        layers = example_layers()
+        layers[2] = SigmaMatrix(2, layers[2].mask | stray)
+        with pytest.raises(ValueError, match="layer 3 mask is negative or has bits at or past"):
+            compose(layers)
+
     def test_decompose_rejects_invalid(self):
         with pytest.raises(ValueError):
             decompose([[1, 2, 3, 4], [3, 4, 1, 2], [2, 1, 4, 3], [4, 3, 1, 2]])
@@ -596,22 +603,20 @@ class TestLayeredGenerator:
         with pytest.raises(TypeError):
             gen_sudoku(2, RandomSource(0), "restart")
 
+    def test_order_zero_refused(self):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            gen_sudoku(0, RandomSource(0))
+
     @pytest.mark.parametrize("n,seed", [(1, 5), (2, 5), (3, 1)])
     def test_output_is_valid(self, n, seed):
-        cells, stats = gen_sudoku(n, RandomSource(seed))
-        assert is_sudoku(cells)
-        assert stats.n == n
-        assert stats.seed == seed
-        assert stats.wall_time_s >= 0
-
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("mode", ["restart", "backtrack"])
-    def test_phase_times_fit_in_wall_time(self, n, mode):
-        for seed in range(5):
-            _, stats = gen_sudoku(n, RandomSource(seed), policy=mode)
+        for mode in ("restart", "backtrack"):
+            cells, stats = gen_sudoku(n, RandomSource(seed), policy=mode)
+            assert is_sudoku(cells)
+            assert stats.n == n
+            assert stats.seed == seed
             assert stats.wall_time_s >= 0
 
-    def test_partial_phase_times_fit_in_wall_time(self):
+    def test_exhausted_budget_carries_the_run_stats(self):
         # seed 0 abandons a stack at order 3 (test_dead_ends_are_exact_at_order_three)
         with pytest.raises(BudgetExhaustedError) as exc_info:
             gen_sudoku(3, RandomSource(0), max_restarts=0)
