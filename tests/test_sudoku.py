@@ -616,6 +616,16 @@ class TestLayeredGenerator:
             assert stats.seed == seed
             assert stats.wall_time_s >= 0
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("mode", ["restart", "backtrack"])
+    def test_phase_times_fit_in_wall_time(self, n, mode):
+        # the run's timed span lies inside the call as the caller times it
+        for seed in range(5):
+            start = time.perf_counter()
+            _, stats = gen_sudoku(n, RandomSource(seed), policy=mode)
+            elapsed = time.perf_counter() - start
+            assert 0 <= stats.wall_time_s <= elapsed
+
     def test_exhausted_budget_carries_the_run_stats(self):
         # seed 0 abandons a stack at order 3 (test_dead_ends_are_exact_at_order_three)
         with pytest.raises(BudgetExhaustedError) as exc_info:
