@@ -50,7 +50,7 @@ from .formats import (
     sudoku_json,
 )
 from .perm import gen_perm_direct, is_permutation
-from .pi import check_pi, gen_pi_direct, is_pi
+from .pi import check_pi, gen_pi_direct, pi_order
 from .rng import RandomSource, derive_seed, entropy_seed
 from .sigma import SigmaMatrix, is_sigma, phi, phi_inverse
 
@@ -209,6 +209,12 @@ def gen_sudoku_cmd(args):
     )
 
 
+def _is_pi(rows: list[list[int]]) -> bool:
+    # unlike pi.is_pi, a bad shape or entry raises, so check prints why
+    n = pi_order(rows)
+    return all(is_permutation(row, n) for row in rows)
+
+
 def _is_sudoku(cells: list[list[int]]) -> bool:
     from .sudoku import is_sudoku
 
@@ -217,7 +223,7 @@ def _is_sudoku(cells: list[list[int]]) -> bool:
 
 _CHECKS = {
     "perm": (parse_perm, is_permutation),
-    "pi": (parse_pi, is_pi),
+    "pi": (parse_pi, _is_pi),
     "sigma": (parse_binary_matrix, is_sigma),
     "sudoku": (parse_cells, _is_sudoku),
 }
@@ -229,13 +235,11 @@ def check_cmd(args):
     value = parser(sys.stdin.read())
     try:
         ok = checker(value)
-        reason = None
     except ValueError as exc:
-        ok = False
-        reason = str(exc)
+        _echo("invalid")
+        _echo(f"reason: {exc}", err=True)
+        sys.exit(1)
     _echo("valid" if ok else "invalid")
-    if reason:
-        _echo(f"reason: {reason}", err=True)
     sys.exit(0 if ok else 1)
 
 
@@ -244,12 +248,10 @@ def enumerate_cmd(args):
     from .sudoku import enumerate_sudoku, iter_sudoku
 
     if args.stream:
-        first = True
-        for cells in iter_sudoku(args.n):
-            if not first:
+        for i, cells in enumerate(iter_sudoku(args.n)):
+            if i:
                 _echo()
             _echo(format_sudoku(cells))
-            first = False
     else:
         _echo(str(enumerate_sudoku(args.n)))
 

@@ -30,11 +30,13 @@ def _parse_int(token: str, line_no: int, token_no: int) -> int:
 
 
 def _split_lines(text: str) -> list[tuple[int, str]]:
-    """Non-blank lines with their original 1-based line numbers."""
+    """Non-blank lines with their 1-based line numbers; MatrixParseError if none."""
     out = []
     for no, line in enumerate(text.splitlines(), start=1):
         if line.strip():
             out.append((no, line))
+    if not out:
+        raise MatrixParseError("empty input")
     return out
 
 
@@ -82,8 +84,6 @@ def format_perm(values: list[int]) -> str:
 
 def parse_perm(text: str) -> list[int]:
     lines = _split_lines(text)
-    if not lines:
-        raise MatrixParseError("empty input")
     if len(lines) > 1:
         raise MatrixParseError(
             "expected a single line of comma-separated integers", line=lines[1][0]
@@ -96,10 +96,7 @@ def format_pi(rows: list[list[int]]) -> str:
 
 
 def parse_pi(text: str) -> list[list[int]]:
-    lines = _split_lines(text)
-    if not lines:
-        raise MatrixParseError("empty input")
-    return [_parse_csv_line(line, no) for no, line in lines]
+    return [_parse_csv_line(line, no) for no, line in _split_lines(text)]
 
 
 def format_sigma(matrix: SigmaMatrix) -> str:
@@ -118,10 +115,7 @@ def format_sigma(matrix: SigmaMatrix) -> str:
 
 def parse_binary_matrix(text: str) -> list[list[int]]:
     """Rows of space-separated 0/1 digits; shape is checked downstream."""
-    lines = _split_lines(text)
-    if not lines:
-        raise MatrixParseError("empty input")
-    return [_parse_bit_line(line, no) for no, line in lines]
+    return [_parse_bit_line(line, no) for no, line in _split_lines(text)]
 
 
 def format_sudoku(cells: list[list[int]], pretty: bool = False) -> str:
@@ -146,10 +140,7 @@ def format_sudoku(cells: list[list[int]], pretty: bool = False) -> str:
 
 def parse_cells(text: str) -> list[list[int]]:
     """Rows of space-separated integers (blank separator lines ignored)."""
-    lines = _split_lines(text)
-    if not lines:
-        raise MatrixParseError("empty input")
-    return [_parse_space_line(line, no) for no, line in lines]
+    return [_parse_space_line(line, no) for no, line in _split_lines(text)]
 
 
 def parse_layers(text: str) -> list[list[list[int]]]:

@@ -425,8 +425,7 @@ def gen_sudoku(
                 mask = None  # dead end: no live layer fits this stack
         if mask is not None:
             candidates += 1
-            pushed = push(SigmaMatrix(n, mask))
-            assert pushed, "every picked layer fits the stack"
+            push(SigmaMatrix(n, mask))
             k += 1
         elif backtracking:
             dead[k].clear()
@@ -439,22 +438,29 @@ def gen_sudoku(
             k = 0
             restarts += 1
             if max_restarts is not None and restarts > max_restarts:
-                stats = GenStats(
-                    n, source.seed, restarts, backtracks, candidates, exact_layers, perf() - start
-                )
-                raise BudgetExhaustedError(
-                    f"gave up after {max_restarts} full restarts at order {n}", stats=stats
-                )
-    cells = compose(stack.layers)
-    return cells, GenStats(
-        n, source.seed, restarts, backtracks, candidates, exact_layers, perf() - start
-    )
+                break
+    cells = compose(stack.layers) if k == side else None
+    stats = GenStats(n, source.seed, restarts, backtracks, candidates, exact_layers, perf() - start)
+    if cells is None:
+        raise BudgetExhaustedError(
+            f"gave up after {max_restarts} full restarts at order {n}", stats=stats
+        )
+    return cells, stats
 
 
-def _backtrack_grids(n: int) -> Iterator[list[list[int]]]:
-    # Depth-first fill in row-major cell order, values ascending, pruning
-    # with per-row/column/block used-value bitmasks.  Yields the live
-    # grid; callers must copy before storing.
+def iter_sudoku(n: int) -> Iterator[list[list[int]]]:
+    """Stream every Sudoku matrix of order n once, in lexicographic cell order.
+
+    Depth-first fill in row-major cell order, values ascending, pruning
+    with per-row/column/block used-value bitmasks.  Orders 1 and 2 only.
+    """
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    if n >= 3:
+        raise InfeasibleError(
+            f"exhaustive enumeration at order {n} is out of reach "
+            f"(already ~6.67e21 matrices at order 3)"
+        )
     side = n * n
     full = (1 << side) - 1
     grid = [[0] * side for _ in range(side)]
@@ -464,7 +470,7 @@ def _backtrack_grids(n: int) -> Iterator[list[list[int]]]:
 
     def rec(idx: int) -> Iterator[list[list[int]]]:
         if idx == side * side:
-            yield grid
+            yield [row[:] for row in grid]
             return
         i, j = divmod(idx, side)
         b = (i // n) * n + (j // n)
@@ -485,24 +491,6 @@ def _backtrack_grids(n: int) -> Iterator[list[list[int]]]:
     yield from rec(0)
 
 
-def _enumeration_guard(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if n >= 3:
-        raise InfeasibleError(
-            f"exhaustive enumeration at order {n} is out of reach "
-            f"(already ~6.67e21 matrices at order 3)"
-        )
-
-
 def enumerate_sudoku(n: int) -> int:
     """Exact count of Sudoku matrices of order n by backtracking (n <= 2)."""
-    _enumeration_guard(n)
-    return sum(1 for _ in _backtrack_grids(n))
-
-
-def iter_sudoku(n: int) -> Iterator[list[list[int]]]:
-    """Stream every Sudoku matrix of order n once, in lexicographic cell order."""
-    _enumeration_guard(n)
-    for grid in _backtrack_grids(n):
-        yield [row[:] for row in grid]
+    return sum(1 for _ in iter_sudoku(n))

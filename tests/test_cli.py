@@ -399,8 +399,23 @@ class TestCheck:
         assert run("check", "--kind", "pi", input=text).exit_code == 0
 
     def test_invalid_pi(self):
+        # a repeated value is a plain verdict, as for perm
         text = format_pi([[1, 1], [2, 1], [1, 2], [2, 1]])
-        assert run("check", "--kind", "pi", input=text).exit_code == 1
+        result = run("check", "--kind", "pi", input=text)
+        assert (result.exit_code, result.stdout, result.stderr) == (1, "invalid\n", "")
+
+    @pytest.mark.parametrize(
+        "rows,reason",
+        [
+            ([[1, 4, 3, 2]], "pi matrix needs an even, positive row count, got 1"),
+            ([[1], [1, 2]], "row 2 has length 2, expected 1"),
+            ([[1, 2], [2, 1], [1, 3], [2, 1]], "tuple value 3 outside range 1..2"),
+        ],
+    )
+    def test_malformed_pi_gives_reason(self, rows, reason):
+        result = run("check", "--kind", "pi", input=format_pi(rows))
+        assert (result.exit_code, result.stdout) == (1, "invalid\n")
+        assert result.stderr == f"reason: {reason}\n"
 
     def test_valid_sigma(self):
         text = format_sigma(phi([[1, 2], [1, 2], [1, 2], [1, 2]]))

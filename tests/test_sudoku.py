@@ -351,7 +351,7 @@ def check_tables(n, free, expected):
     assert [pick(r) for r in range(1, total + 1)] == ranked
 
 
-class TestFittingLayers:
+class TestCountLayers:
     def test_order_two_matches_filter_on_every_reachable_stack(self, sigma16):
         masks = [m.mask for m in sigma16]
         full = (1 << 16) - 1
@@ -635,18 +635,30 @@ class TestLayeredGenerator:
         assert stats.candidates > 0
         assert stats.wall_time_s >= 0
 
-    @pytest.mark.parametrize("n,seeds", [(2, range(200)), (3, range(10))])
-    def test_no_policy_runs_as_a_fresh_default_policy(self, n, seeds):
-        # a call without a policy runs exactly as one that asks for restarts
-        def run(seed, **policy):
-            src = RandomSource(seed)
-            cells, stats = gen_sudoku(n, src, **policy)
-            counts = (stats.restarts, stats.backtracks, stats.candidates, stats.exact_layers)
-            return cells, counts, src.draws, src.uniform_int(2**40)
+    @staticmethod
+    def _run(n, seed, **kwargs):
+        # a run's grid, counts, draws and the draw after it
+        src = RandomSource(seed)
+        cells, stats = gen_sudoku(n, src, **kwargs)
+        counts = (stats.restarts, stats.backtracks, stats.candidates, stats.exact_layers)
+        return cells, counts, src.draws, src.uniform_int(2**40)
 
-        runs = [(run(seed), run(seed, policy="restart")) for seed in seeds]
+    @pytest.mark.parametrize("n,seeds", [(2, range(200)), (3, range(10))])
+    def test_default_policy_is_restart(self, n, seeds):
+        # a call without a policy runs exactly as one that asks for restarts
+        runs = [(self._run(n, seed), self._run(n, seed, policy="restart")) for seed in seeds]
         assert all(default == explicit for default, explicit in runs)
         assert any(default[1][0] for default, _ in runs) == (n == 3)
+
+    def test_budget_boundary(self):
+        # order-3 seed 4 restarts 4 times: a budget of 3 stops at the
+        # fourth, a budget of 4 finishes exactly as the unbounded run
+        unbounded = self._run(3, 4)
+        assert unbounded[1][0] == 4
+        with pytest.raises(BudgetExhaustedError) as exc_info:
+            gen_sudoku(3, RandomSource(4), max_restarts=3)
+        assert exc_info.value.stats.restarts == 4
+        assert self._run(3, 4, max_restarts=4) == unbounded
 
     def test_stats_accounting(self):
         # order 2 never dead-ends (test_exact_law_order_two), so a run
@@ -897,6 +909,8 @@ class TestEnumeration:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             enumerate_sudoku(0)
+        with pytest.raises(ValueError):
+            next(iter_sudoku(0))
 
 
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1))
