@@ -34,6 +34,7 @@ from .errors import (
     UnknownSigmaError,
 )
 from .formats import (
+    _read_layers,
     format_layers,
     format_perm,
     format_pi,
@@ -41,7 +42,6 @@ from .formats import (
     format_sudoku,
     parse_binary_matrix,
     parse_cells,
-    parse_layers,
     parse_perm,
     parse_pi,
     perm_json,
@@ -285,9 +285,7 @@ def compose_cmd(args):
     """Rebuild a Sudoku matrix from blank-line-separated layers on stdin."""
     from .sudoku import compose
 
-    blocks = parse_layers(sys.stdin.read())
-    layers = [SigmaMatrix.from_rows(b) for b in blocks]
-    _echo(format_sudoku(compose(layers)))
+    _echo(format_sudoku(compose(_read_layers(sys.stdin.read()))))
 
 
 def _report(fmt: str, data: dict, header: list[str], rows: list[list], lines: list[str]):

@@ -9,10 +9,23 @@ Text formats are line-oriented and pipeline-friendly:
 
 Parsers skip blank lines (so pretty-printed Sudoku output re-parses) and
 report failures with 1-based line and token positions.
+
+A row of a sigma matrix whose single 1 is in column c is written as its
+one-hot line: side - 1 "0"s and one "1" at position c, joined by single
+spaces (``0 1 0 0`` for c = 1 at order 2).  The ``compose`` command
+reads layer text made only of such lines, in full valid blocks separated
+by empty lines, a line at a time with one dict lookup per line.  Any
+other text (other spacing, tabs, signs, whitespace-only lines, an
+invalid block) takes the token path from its start, so its errors,
+their positions and the order in which they win are those of
+``parse_layers`` and ``SigmaMatrix.from_rows``.  Cell rows whose tokens
+are all unsigned decimal digits are converted in one pass, and any
+other row token by token.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import MatrixParseError
@@ -51,9 +64,14 @@ def _parse_csv_line(line: str, line_no: int) -> list[int]:
 
 
 def _parse_space_line(line: str, line_no: int) -> list[int]:
+    tokens = line.split()
+    # Unsigned runs of Unicode decimal digits are exactly the tokens that
+    # _INT_RE accepts without a sign, so one check clears the whole line.
+    if "".join(tokens).isdecimal():
+        return list(map(int, tokens))
     return [
         _parse_int(token, line_no, token_no)
-        for token_no, token in enumerate(line.split(), start=1)
+        for token_no, token in enumerate(tokens, start=1)
     ]
 
 
@@ -99,18 +117,27 @@ def parse_pi(text: str) -> list[list[int]]:
     return [_parse_csv_line(line, no) for no, line in _split_lines(text)]
 
 
-def format_sigma(matrix: SigmaMatrix) -> str:
-    # A row of a valid matrix holds exactly one 1: splice it into a shared
-    # spaced row of zeros instead of joining side one-character strings.
-    zeros = " ".join("0" * matrix.side)
+def _one_hot_lines(side: int) -> list[str]:
+    # Line c is the text of a row of width side whose single 1 is in column c.
+    zeros = " ".join("0" * side)
+    return [zeros[: 2 * c] + "1" + zeros[2 * c + 1 :] for c in range(side)]
+
+
+def _format_sigma(matrix: SigmaMatrix, one_hot: list[str]) -> str:
+    # A row of a valid matrix holds exactly one 1 and is written as its
+    # one-hot line; any other row joins its side one-character strings.
     out = []
     for row in _bit_rows(matrix):
         j = row.find("1")
         if j >= 0 and row.find("1", j + 1) < 0:
-            out.append(zeros[: 2 * j] + "1" + zeros[2 * j + 1 :])
+            out.append(one_hot[j])
         else:
             out.append(" ".join(row))
     return "\n".join(out)
+
+
+def format_sigma(matrix: SigmaMatrix) -> str:
+    return _format_sigma(matrix, _one_hot_lines(matrix.side))
 
 
 def parse_binary_matrix(text: str) -> list[list[int]]:
@@ -168,8 +195,68 @@ def parse_layers(text: str) -> list[list[list[int]]]:
     return blocks
 
 
+def _read_layers(text: str) -> list[SigmaMatrix]:
+    """The layers of ``parse_layers`` text, each built as ``from_rows`` builds it.
+
+    Equal in value, or in the error raised, to
+    ``[SigmaMatrix.from_rows(b) for b in parse_layers(text)]``.  Text of
+    one-hot lines as ``format_sigma`` writes them, in valid blocks
+    separated by empty lines, is read a line at a time; any other text
+    takes that token path from its start.
+    """
+    layers = _read_one_hot_layers(text)
+    if layers is None:
+        layers = [SigmaMatrix.from_rows(b) for b in parse_layers(text)]
+    return layers
+
+
+def _read_one_hot_layers(text: str) -> list[SigmaMatrix] | None:
+    # None unless every line is empty or a one-hot line of the first
+    # line's width, every block is full and passes is_sigma's checks
+    # (distinct columns, in distinct n x n blocks), and empty lines fall
+    # only between blocks.
+    lines = text.splitlines()
+    first = next(filter(None, lines), "")
+    side = (len(first) + 1) // 2
+    n = math.isqrt(side)
+    # A block is side lines as long as the first, so the lines built here
+    # never take more memory than the text they are looked up in.
+    if side == 0 or n * n != side or side * len(first) > len(text):
+        return None
+    column = {line: c for c, line in enumerate(_one_hot_lines(side))}
+    # row bits of a one-hot row, most significant first, by column
+    bits = ["0" * (side - 1 - c) + "1" + "0" * c for c in range(side)]
+    layers = []
+    cols: list[int] = []
+    for line in lines:
+        if not line:
+            if cols:
+                return None
+            continue
+        c = column.get(line)
+        if c is None:
+            return None
+        cols.append(c)
+        if len(cols) == side:
+            if len(set(cols)) != side:
+                return None
+            if len({i // n * n + c // n for i, c in enumerate(cols)}) != side:
+                return None
+            mask = int("".join(bits[c] for c in reversed(cols)), 2)
+            layers.append(SigmaMatrix(n, mask))
+            cols = []
+    return None if cols else layers
+
+
 def format_layers(layers: list[SigmaMatrix]) -> str:
-    return "\n\n".join(format_sigma(layer) for layer in layers)
+    one_hot: dict[int, list[str]] = {}  # side -> its one-hot lines
+    out = []
+    for layer in layers:
+        side = layer.side
+        if side not in one_hot:
+            one_hot[side] = _one_hot_lines(side)
+        out.append(_format_sigma(layer, one_hot[side]))
+    return "\n\n".join(out)
 
 
 def perm_json(values: list[int], seed: int | None) -> dict:

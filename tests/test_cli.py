@@ -510,6 +510,55 @@ class TestMapAndLayers:
         layer = format_sigma(phi([[1, 2], [1, 2], [1, 2], [1, 2]]))
         assert run("compose", input=layer).exit_code == 1
 
+    # the layers of EXAMPLE, as decompose writes them
+    EXAMPLE_LAYERS = [
+        ["1 0 0 0", "0 0 1 0", "0 1 0 0", "0 0 0 1"],
+        ["0 1 0 0", "0 0 0 1", "1 0 0 0", "0 0 1 0"],
+        ["0 0 1 0", "1 0 0 0", "0 0 0 1", "0 1 0 0"],
+        ["0 0 0 1", "0 1 0 0", "0 0 1 0", "1 0 0 0"],
+    ]
+
+    @staticmethod
+    def _layers_text(layers):
+        return "\n\n".join("\n".join(rows) for rows in layers) + "\n"
+
+    def test_example_layers_are_what_decompose_writes(self):
+        text = self._layers_text(self.EXAMPLE_LAYERS)
+        assert ok("decompose", input=format_sudoku(EXAMPLE)).stdout == text
+        assert ok("compose", input=text).stdout == format_sudoku(EXAMPLE) + "\n"
+
+    @pytest.mark.parametrize(
+        "edit, code, stderr",
+        [
+            # a non-binary token in the last layer: a parse error, with its place
+            ({(3, 2): "0 0 2 0"}, 2, "error: line 18, token 3: expected 0 or 1, got 2\n"),
+            # a parse error anywhere wins over an invalid block before it
+            ({(0, 2): "1 0 0 0", (3, 0): "0 0 0 x"}, 2, "error: line 16, token 4: invalid integer 'x'\n"),
+            # a block of side 3
+            ({(1, 3): None}, 1, "error: side 3 is not a positive perfect square\n"),
+            # a row with two 1s
+            ({(1, 0): "0 1 0 1"}, 1, "error: matrix is not a block permutation matrix\n"),
+            # a column used twice
+            ({(2, 3): "1 0 0 0"}, 1, "error: matrix is not a block permutation matrix\n"),
+            # two layers share a cell
+            ({(3, r): row for r, row in enumerate(EXAMPLE_LAYERS[0])}, 1,
+             "error: layer 4 overlaps an earlier layer at (1, 1)\n"),
+        ],
+        ids=["token-2", "parse-error-wins", "non-square", "two-ones", "repeated-column", "overlap"],
+    )
+    def test_compose_errors_are_pinned(self, edit, code, stderr):
+        layers = [list(rows) for rows in self.EXAMPLE_LAYERS]
+        for (k, r), row in edit.items():
+            if row is None:
+                del layers[k][r]
+            else:
+                layers[k][r] = row
+        assert run("compose", input=self._layers_text(layers)) == (code, "", stderr)
+
+    def test_compose_wrong_layer_count_is_pinned(self):
+        text = self._layers_text(self.EXAMPLE_LAYERS[:3])
+        assert run("compose", input=text) == (1, "", "error: expected 4 layers for order 2, got 3\n")
+
 
 class TestEstimate:
     def test_text_output(self):

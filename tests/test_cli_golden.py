@@ -27,6 +27,7 @@ CHEAP = [
     "sudogen gen-sudoku --n 4 --seed 2 | sudogen check --kind sudoku",
     "sudogen gen-perm --n 4 --seed 1 | sudogen check --kind pi",
     "sudogen gen-sudoku --n 2 --seed 5 | sudogen decompose | sudogen compose",
+    "sudogen gen-sudoku --n 4 --seed 2 | sudogen decompose | sudogen compose",
     "sudogen estimate --generator sudoku-rejection --n 2 --samples 200000 --seed 1",
     "sudogen bench --generator perm-direct --sizes 64,128,256,512 --repetitions 30",
 ]

@@ -31,6 +31,8 @@ from sudogen import (
     sigma_json,
     sudoku_json,
 )
+from sudogen import formats
+from sudogen.formats import _read_layers
 
 EXAMPLE = [[1, 2, 3, 4], [3, 4, 1, 2], [2, 1, 4, 3], [4, 3, 2, 1]]
 
@@ -312,6 +314,15 @@ class TestSigmaTextMatchesReference:
         assert report is None, report
 
 
+    def test_layers_of_mixed_orders_and_malformed_masks(self):
+        # the one-hot lines are built per side, so a side change mid-list
+        # and rows with no or several 1s still format as format_sigma does
+        layers = [phi(gen_pi_direct(n, RandomSource(n))) for n in (2, 3, 2, 1)]
+        layers[1:1] = MALFORMED_SIGMA.values()
+        want = "\n\n".join(map(reference_format_sigma, layers))
+        assert format_layers(layers) == want
+
+
 def first_line_difference(got: str, want: str) -> str | None:
     """None if two texts are equal, else a report of their first different line."""
     got_lines, want_lines = got.split("\n"), want.split("\n")
@@ -364,3 +375,174 @@ def test_bit_row_parsers_match_reference(text):
     if layers[0] == "rows":
         layers = ("rows", [row for block in layers[1] for row in block])
     assert layers == expected
+
+
+def reference_layers(text):
+    """The token path of compose: every block read by parse_layers, then
+    validated and packed by SigmaMatrix.from_rows."""
+    return [SigmaMatrix.from_rows(block) for block in parse_layers(text)]
+
+
+def _layers_outcome(read, text):
+    try:
+        return "layers", read(text)
+    except (MatrixParseError, ValueError) as exc:
+        return "error", (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "token", None))
+
+
+def layer_texts(n, seed):
+    """The text decompose writes at order n, and its spacing variants
+    that keep every line one-hot: blank lines doubled, leading and
+    trailing, no blank lines at all, and CRLF line ends."""
+    cells = gen_sudoku(n, RandomSource(seed))[0] if n <= 3 else canonical_grid(n)
+    text = format_layers(decompose(cells))
+    return [
+        text,
+        text + "\n",
+        text + "\n\n\n",
+        "\n\n" + text,
+        text.replace("\n\n", "\n\n\n"),
+        text.replace("\n\n", "\n"),
+        text.replace("\n", "\r\n") + "\r\n",
+    ]
+
+
+def unbuilt(side):
+    raise AssertionError(f"built the one-hot lines of side {side}")
+
+
+class TestLayerReader:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    def test_written_layers_match_the_token_path(self, n):
+        for text in layer_texts(n, seed=n):
+            got = _layers_outcome(_read_layers, text)
+            assert got[0] == "layers"
+            assert got == _layers_outcome(reference_layers, text)
+
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_single_character_edits_match_the_token_path(self, data, n, seed):
+        text = data.draw(st.sampled_from(layer_texts(n, seed)))
+        i = data.draw(st.integers(0, len(text)))
+        char = data.draw(st.sampled_from(["0", "1", "2", " ", "\t", "\n", "\r", "+", "x", "\u0661"]))
+        edit = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "replace":
+            text = text[:i] + char + text[i + 1 :]
+        elif edit == "insert":
+            text = text[:i] + char + text[i:]
+        else:
+            text = text[:i] + text[i + 1 :]
+        assert _layers_outcome(_read_layers, text) == _layers_outcome(reference_layers, text)
+
+    def test_order_eight_edits_match_the_token_path(self):
+        text = layer_texts(8, seed=0)[0]
+        lines = text.split("\n")
+        edits = [
+            text[:1] + "2" + text[2:],  # first token of the first line
+            text[:-1] + "x",  # last token of the last line
+            text[:-2] + "1 1",  # a row with two 1s, at the end
+            "\n".join(lines[:64] + [lines[0]] + lines[65:]),  # a repeated column in layer 2
+            "\n".join(lines[:-1]),  # the last layer one row short
+            "\n".join(lines[:64] + ["  "] + lines[65:]),  # a whitespace-only separator
+            text.replace(" ", "\t"),  # tab-separated
+            "\n".join(lines[:130]),  # three layers, the third cut short
+        ]
+        for edited in edits:
+            assert _layers_outcome(_read_layers, edited) == _layers_outcome(reference_layers, edited)
+
+    @given(text=bit_row_text())
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_rows_match_the_token_path(self, text):
+        assert _layers_outcome(_read_layers, text) == _layers_outcome(reference_layers, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\n\n",
+            "1",
+            "1 0 0\n0 1 0\n0 0 1",  # side 3
+            "1 0 0 0\n0 0 1 0\n0 1 0 0",  # a partial last block
+            "1 0 0 0\n0 0 1 0\n\n0 1 0 0\n0 0 0 1",  # a block closed early
+            "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1",  # two 1s in one 2 x 2 block
+            "0 0 1 0" + "\n0 0 1 0" * 3,  # one column four times
+            "1 0 0 0\n0 0 1 0\n1 0 0 0\n0 0 1 0",  # repeated columns in distinct blocks
+            "1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",  # a first line wider than the text holds
+        ],
+    )
+    def test_edge_texts_match_the_token_path(self, text):
+        assert _layers_outcome(_read_layers, text) == _layers_outcome(reference_layers, text)
+
+    def test_no_lines_are_built_for_a_first_line_wider_than_the_text_holds(self, monkeypatch):
+        # side 10^4 would build 10^4 one-hot lines of 2 * 10^4 - 1 characters
+        monkeypatch.setattr(formats, "_one_hot_lines", unbuilt)
+        text = "1" + " 0" * (10**4 - 1)
+        assert _layers_outcome(_read_layers, text) == _layers_outcome(reference_layers, text)
+
+    def test_canonical_text_skips_from_rows_and_other_text_does_not(self, monkeypatch):
+        calls = []
+        from_rows = SigmaMatrix.from_rows
+
+        def spy(rows):
+            calls.append(len(rows))
+            return from_rows(rows)
+
+        monkeypatch.setattr(SigmaMatrix, "from_rows", staticmethod(spy))
+        text = layer_texts(8, seed=0)[0]
+        layers = _read_layers(text)
+        assert len(layers) == 64 and calls == []
+        assert _read_layers(text.replace(" ", "\t")) == layers
+        assert calls == [64] * 64
+
+
+def reference_cell_rows(text):
+    """Token-by-token reading of integer rows, errors with 1-based places."""
+    rows = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        row = []
+        for token_no, token in enumerate(line.split(), start=1):
+            if not re.fullmatch(r"[+-]?\d+", token):
+                raise MatrixParseError(f"invalid integer {token!r}", line=line_no, token=token_no)
+            row.append(int(token))
+        rows.append(row)
+    if not rows:
+        raise MatrixParseError("empty input")
+    return rows
+
+
+class TestCellRows:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "+1",
+            "-0",
+            "1_0",
+            "\u0663",  # ARABIC-INDIC DIGIT THREE
+            "\u00b2",  # SUPERSCRIPT TWO
+            "00012",
+            "1 2 3\n4 +5 6",
+            "1 2 3\n4 5 -6",
+            "1 2\n3 1_0",
+            "7 \u0663\u0661 00012\n\u00b2 1",
+            "1 2\t3\n\n4 5 6 ",
+            "1 2 x",
+        ],
+    )
+    def test_matches_the_token_path(self, text):
+        assert _outcome(parse_cells, text) == _outcome(reference_cell_rows, text)
+
+    def test_decimal_strings_are_the_unsigned_integer_tokens(self):
+        # parse_cells reads a line whole when its tokens joined are
+        # str.isdecimal(); that must be the set of one-character tokens
+        # the regex path accepts without a sign, in all of Unicode
+        digit = re.compile(r"\d")
+        mismatched = [
+            i for i in range(0x110000) if chr(i).isdecimal() != bool(digit.fullmatch(chr(i)))
+        ]
+        assert mismatched == []
