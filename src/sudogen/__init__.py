@@ -55,6 +55,7 @@ _EXPORTS = {
         "sigma_json",
         "sudoku_json",
     ),
+    "grid": ("compose", "decompose", "is_sudoku", "sudoku_order"),
     "perm": ("gen_perm_direct", "is_permutation"),
     "pi": (
         "check_pi",
@@ -77,13 +78,9 @@ _EXPORTS = {
         "SIGMA_COUNTS",
         "DisjointStack",
         "GenStats",
-        "compose",
-        "decompose",
         "enumerate_sudoku",
         "gen_sudoku",
-        "is_sudoku",
         "iter_sudoku",
-        "sudoku_order",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

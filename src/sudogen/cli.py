@@ -17,13 +17,15 @@ drawn from entropy and reported.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 
-# Each child process pays for what it imports, so sudogen.sudoku,
-# sudogen.analysis, csv and json are imported inside the commands that use
-# them, and the parser is the standard library's argparse.
+# Each child process pays for what it imports, and without a bytecode
+# cache it compiles every sudogen module it imports as well.  So the
+# drawing commands live in sudogen.draw, imported only to run one of them;
+# perm, pi, sudoku and analysis are imported inside the commands that use
+# them; json and csv only by the formats that print them; and the parser
+# is the standard library's argparse.
 from .errors import (
     BENCH_IDS,
     GENERATOR_IDS,
@@ -34,9 +36,10 @@ from .errors import (
     UnknownSigmaError,
 )
 from .formats import (
+    _echo,
     _read_layers,
+    _refuse_sigma_order,
     format_layers,
-    format_perm,
     format_pi,
     format_sigma,
     format_sudoku,
@@ -44,185 +47,33 @@ from .formats import (
     parse_cells,
     parse_perm,
     parse_pi,
-    perm_json,
-    pi_json,
-    sigma_json,
-    sudoku_json,
 )
-from .perm import gen_perm_direct, is_permutation
-from .pi import check_pi, gen_pi_direct, pi_order
-from .rng import RandomSource, derive_seed, entropy_seed
 from .sigma import SigmaMatrix, is_sigma, phi, phi_inverse
 
 
-def _echo(text: str = "", err: bool = False, nl: bool = True) -> None:
-    # One write and a flush per call, so stdout and stderr lines keep their
-    # order when both go to one file.
-    stream = sys.stderr if err else sys.stdout
-    stream.write(text + "\n" if nl else text)
-    stream.flush()
+def _is_perm(values: list[int]) -> bool:
+    from .perm import is_permutation
 
-
-def _emit(fmt: str, seed: int, value, to_text, to_json, iterations=None, stats=None):
-    # Only the printed format is built.  A rejection generator's attempt
-    # count and gen-sudoku's run stats go into the JSON payload, or on
-    # stderr ahead of the matrix in text mode.
-    if fmt == "json":
-        payload = to_json(value, seed)
-        if iterations is not None:
-            payload["iterations"] = iterations
-        if stats is not None:
-            payload["stats"] = stats
-        _echo_json(payload)
-        return
-    if stats is not None:
-        _echo_json(stats, err=True)
-    if iterations is not None:
-        _echo(f"iterations: {iterations}", err=True)
-    _echo(to_text(value))
-    _echo(f"seed: {seed}", err=True)
-
-
-def _echo_json(payload: dict, err: bool = False) -> None:
-    import json
-
-    _echo(json.dumps(payload, indent=2), err=err)
-
-
-def _generate(args, direct, rejection: str, to_text, to_json) -> None:
-    # The body of gen-perm, gen-pi and gen-sigma: direct(n, source), or the
-    # rejection loop of sudogen.analysis named ``rejection``.
-    source = RandomSource(args.seed)
-    if args.algorithm == "direct":
-        value, iterations = direct(args.n, source), None
-    else:
-        from . import analysis
-
-        value, iterations = getattr(analysis, rejection)(args.n, source, args.max_iterations)
-    _emit(args.fmt, source.seed, value, to_text, to_json, iterations)
-
-
-def gen_perm_cmd(args):
-    """Generate one random permutation of 1..n."""
-    _generate(args, gen_perm_direct, "gen_perm_rejection", format_perm, perm_json)
-
-
-def gen_pi_cmd(args):
-    """Generate a random 2n x n matrix whose rows are all permutations."""
-    _generate(args, gen_pi_direct, "gen_pi_rejection", format_pi, pi_json)
-
-
-# Largest order gen-sigma and map --phi build: a block permutation matrix
-# of order n is an n^4-bit mask and n^4 entries of text, and at order 48
-# (5.3 million entries) a gen-sigma or map --phi process took about 0.5 s
-# and 51 MB, against 2.6 s and 161 MB at order 64 (2 CPUs, Python 3.11.7).
-_MAX_SIGMA_ORDER = 48
-
-
-def _refuse_sigma_order(n: int) -> None:
-    if n > _MAX_SIGMA_ORDER:
-        raise InfeasibleError(
-            f"a block permutation matrix of order {n} has n^4 = {n**4} entries, "
-            f"more than the {_MAX_SIGMA_ORDER**4} of order {_MAX_SIGMA_ORDER}, "
-            f"the largest this command builds"
-        )
-
-
-def gen_sigma_cmd(args):
-    """Generate a random block permutation matrix of side n^2.
-
-    Orders above 48 are refused with exit 3.
-    """
-    _refuse_sigma_order(args.n)
-    _generate(
-        args,
-        lambda n, source: phi(gen_pi_direct(n, source)),
-        "gen_sigma_rejection",
-        format_sigma,
-        sigma_json,
-    )
-
-
-def gen_sudoku_cmd(args):
-    """Generate one random n^2 x n^2 Sudoku matrix.
-
-    The layered algorithm draws layer 1 from a random pi matrix, picks
-    each later layer uniformly among the layers that fit the stack and
-    forces the last one.  Orders above 4 are refused with exit 3.
-    """
-    n, seed, attempts = args.n, args.seed, args.workers
-    # an option the run does not read is a usage error, not silently
-    # dropped; keyed by the choice that leaves it unread
-    unread = {
-        "--algorithm rejection": {
-            "--policy": args.policy_mode != "restart",
-            "--max-restarts": args.max_restarts is not None,
-            "--parallel": attempts != 1,
-        },
-        "--algorithm layered": {"--max-iterations": args.max_iterations is not None},
-        "--policy backtrack": {"--max-restarts": args.max_restarts is not None},
-    }
-    for choice in (f"--algorithm {args.algorithm}", f"--policy {args.policy_mode}"):
-        for option, given in unread.get(choice, {}).items():
-            if given:
-                args.parser.error(f"{option} does not apply to {choice}")
-    if args.algorithm == "rejection":
-        from .analysis import gen_sudoku_rejection
-
-        source = RandomSource(seed)
-        cells, iterations = gen_sudoku_rejection(n, source, args.max_iterations)
-        root_seed = source.seed
-        stats_dict = {"iterations": iterations, "seed": root_seed}
-    else:
-        from .sudoku import gen_sudoku
-
-        policy, max_restarts = args.policy_mode, args.max_restarts
-        root_seed = seed if seed is not None else entropy_seed()
-        # --parallel K runs attempts 0, 1, ... one after another on seeds
-        # derived from the root, and the first within its restart budget
-        # wins; --parallel 1 is the one attempt on the root seed itself.
-        for index in range(attempts):
-            attempt_seed = root_seed if attempts == 1 else derive_seed(root_seed, index)
-            try:
-                cells, stats = gen_sudoku(
-                    n, RandomSource(attempt_seed), policy=policy, max_restarts=max_restarts
-                )
-                break
-            except BudgetExhaustedError:
-                if attempts == 1:
-                    raise
-        else:
-            raise BudgetExhaustedError(
-                f"all {attempts} parallel attempts exhausted their restart budgets"
-            )
-        stats_dict = stats.to_dict()
-        if attempts > 1:
-            stats_dict.update(attempt_index=index, root_seed=root_seed)
-
-    _emit(
-        args.fmt,
-        root_seed,
-        cells,
-        lambda cells: format_sudoku(cells, pretty=args.pretty),
-        sudoku_json,
-        stats=stats_dict if args.want_stats else None,
-    )
+    return is_permutation(values)
 
 
 def _is_pi(rows: list[list[int]]) -> bool:
     # unlike pi.is_pi, a bad shape or entry raises, so check prints why
+    from .perm import is_permutation
+    from .pi import pi_order
+
     n = pi_order(rows)
     return all(is_permutation(row, n) for row in rows)
 
 
 def _is_sudoku(cells: list[list[int]]) -> bool:
-    from .sudoku import is_sudoku
+    from .grid import is_sudoku
 
     return is_sudoku(cells)
 
 
 _CHECKS = {
-    "perm": (parse_perm, is_permutation),
+    "perm": (parse_perm, _is_perm),
     "pi": (parse_pi, _is_pi),
     "sigma": (parse_binary_matrix, is_sigma),
     "sudoku": (parse_cells, _is_sudoku),
@@ -264,6 +115,8 @@ def map_cmd(args):
     if args.direction is None:
         args.parser.error("one of --phi / --phi-inverse is required")
     if args.direction == "phi":
+        from .pi import check_pi
+
         rows = parse_pi(sys.stdin.read())
         _refuse_sigma_order(check_pi(rows))
         _echo(format_sigma(phi(rows)))
@@ -275,7 +128,7 @@ def map_cmd(args):
 
 def decompose_cmd(args):
     """Split a Sudoku matrix on stdin into its value-indicator layers."""
-    from .sudoku import decompose
+    from .grid import decompose
 
     cells = parse_cells(sys.stdin.read())
     _echo(format_layers(decompose(cells)))
@@ -283,92 +136,9 @@ def decompose_cmd(args):
 
 def compose_cmd(args):
     """Rebuild a Sudoku matrix from blank-line-separated layers on stdin."""
-    from .sudoku import compose
+    from .grid import compose
 
     _echo(format_sudoku(compose(_read_layers(sys.stdin.read()))))
-
-
-def _report(fmt: str, data: dict, header: list[str], rows: list[list], lines: list[str]):
-    # estimate and bench: the report's dict as JSON, its header and rows as
-    # CSV, or its text lines
-    if fmt == "json":
-        _echo_json(data)
-    elif fmt == "csv":
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
-        _echo(buf.getvalue(), nl=False)
-    else:
-        _echo("\n".join(lines))
-
-
-def _fraction_text(d: dict) -> str:
-    return f"{d['float']:.6g} ({d['numerator']}/{d['denominator']})"
-
-
-def estimate_cmd(args):
-    """Monte Carlo estimate of a generator's acceptance probability."""
-    from .analysis import estimate_p
-
-    source = RandomSource(args.seed)
-    data = estimate_p(args.generator_id, args.n, args.samples, source).to_dict()
-    empirical, theoretical = data["empirical_acceptance"], data["theoretical_acceptance"]
-    iteration_s, check_s = data["mean_iteration_time_s"], data["mean_check_time_s"]
-    # (CSV column, text label, CSV value, text value)
-    fields = [
-        ("generator_id", "generator", data["generator_id"], data["generator_id"]),
-        ("n", "n", data["n"], str(data["n"])),
-        ("samples", "samples", data["samples"], str(data["samples"])),
-        ("successes", "successes", data["successes"], str(data["successes"])),
-        ("empirical_p", "empirical", empirical["float"], _fraction_text(empirical)),
-        ("theoretical_p", "theoretical", theoretical["float"], _fraction_text(theoretical)),
-        ("std_error", "std-error", data["std_error"], f"{data['std_error']:.3e}"),
-        ("mean_iteration_time_s", "mean-iteration-time", iteration_s, f"{iteration_s:.3e} s"),
-        ("mean_check_time_s", "mean-check-time", check_s, f"{check_s:.3e} s"),
-        ("seed", "seed", data["seed"], str(data["seed"])),
-    ]
-    width = max(len(label) for _, label, _, _ in fields)
-    _report(
-        args.fmt,
-        data,
-        [column for column, _, _, _ in fields],
-        [[value for _, _, value, _ in fields]],
-        [f"{label.ljust(width)}  {text}" for _, label, _, text in fields],
-    )
-
-
-def bench_cmd(args):
-    """Time one attempt per size; report medians and the log-log slope."""
-    from .analysis import bench_tau
-
-    source = RandomSource(args.seed)
-    data = bench_tau(args.generator_id, args.sizes, args.repetitions, source).to_dict()
-    points, slope, stderr = data["points"], data["slope"], data["slope_stderr"]
-    lines = [
-        f"generator: {data['generator_id']}   repetitions: "
-        f"{data['repetitions']}   seed: {data['seed']}",
-        f"{'n':>8}  {'median_s':>12}  {'mad_s':>12}",
-        *(f"{p['n']:>8}  {p['median_s']:>12.4e}  {p['mad_s']:>12.4e}" for p in points),
-    ]
-    if slope is not None:
-        lines.append(f"slope: {slope:.3f}")
-        if stderr is not None:
-            lo, hi = data["slope_ci95"]
-            lines[-1] += f"   stderr: {stderr:.3f}   ci95: [{lo:.3f}, {hi:.3f}]"
-    _report(
-        args.fmt,
-        data,
-        ["generator_id", "n", "median_s", "mad_s", "repetitions", "slope", "slope_stderr", "seed"],
-        [
-            [data["generator_id"], p["n"], p["median_s"], p["mad_s"], data["repetitions"],
-             slope, stderr, data["seed"]]
-            for p in points
-        ],
-        lines,
-    )
 
 
 def _int_range(lo: int, hi: int | None = None):
@@ -423,10 +193,11 @@ _TEXT_OR_JSON = _format("text", "json")
 _DIRECT_OR_REJECTION = ["direct", "rejection"]
 
 # Each command: its function, whose docstring is its help, and its options
-# as (name, add_argument keywords) pairs.
+# as (name, add_argument keywords) pairs.  A drawing command's function is
+# named by a string, its name in sudogen.draw.
 _COMMANDS = {
     "gen-perm": (
-        gen_perm_cmd,
+        "gen_perm_cmd",
         [
             _N,
             _SEED_OPTION,
@@ -436,11 +207,11 @@ _COMMANDS = {
         ],
     ),
     "gen-pi": (
-        gen_pi_cmd,
+        "gen_pi_cmd",
         [_N, _SEED_OPTION, _algorithm(_DIRECT_OR_REJECTION), _MAX_ITERATIONS, _TEXT_OR_JSON],
     ),
     "gen-sigma": (
-        gen_sigma_cmd,
+        "gen_sigma_cmd",
         [
             _N,
             _SEED_OPTION,
@@ -454,7 +225,7 @@ _COMMANDS = {
         ],
     ),
     "gen-sudoku": (
-        gen_sudoku_cmd,
+        "gen_sudoku_cmd",
         [
             _N,
             _SEED_OPTION,
@@ -546,7 +317,7 @@ _COMMANDS = {
     "decompose": (decompose_cmd, []),
     "compose": (compose_cmd, []),
     "estimate": (
-        estimate_cmd,
+        "estimate_cmd",
         [
             ("--generator", dict(dest="generator_id", required=True, choices=GENERATOR_IDS)),
             _N,
@@ -556,7 +327,7 @@ _COMMANDS = {
         ],
     ),
     "bench": (
-        bench_cmd,
+        "bench_cmd",
         [
             ("--generator", dict(dest="generator_id", required=True, choices=BENCH_IDS)),
             (
@@ -593,6 +364,10 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     for name, (fn, options) in _COMMANDS.items():
         if only not in (None, name):
             continue
+        if isinstance(fn, str):
+            from . import draw
+
+            fn = getattr(draw, fn)
         sub = commands.add_parser(
             name,
             help=fn.__doc__.split("\n", 1)[0],

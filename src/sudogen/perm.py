@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import functools
 from itertools import product
+from typing import TYPE_CHECKING
 
-from .rng import RandomSource
+if TYPE_CHECKING:  # annotations only, so checking code never loads rng
+    from .rng import RandomSource
 
 
 def is_permutation(values: list[int], n: int | None = None) -> bool:

@@ -12,10 +12,12 @@ those terms.  The blind generator ``gen_pi_rejection`` is in
 from __future__ import annotations
 
 from itertools import permutations, product
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .perm import _draw_rows, is_permutation
-from .rng import RandomSource
+
+if TYPE_CHECKING:  # annotations only, so checking code never loads rng
+    from .rng import RandomSource
 
 
 def pi_order(rows: list[list[int]]) -> int:

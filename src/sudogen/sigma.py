@@ -19,9 +19,6 @@ import functools
 import math
 from typing import Iterator, NamedTuple
 
-from .perm import _is_perm_trusted
-from .pi import check_pi, enumerate_pi
-
 
 class SigmaMatrix(NamedTuple):
     """Block permutation matrix of order ``n`` in packed-bitset form.
@@ -137,6 +134,10 @@ def phi(rows: list[list[int]]) -> SigmaMatrix:
     (rows[s][t], rows[n+t][s]).  Bijective; ValueError if the input
     violates the pi-matrix invariants.
     """
+    # pi and perm are imported where they are used, so a process that only
+    # reads and checks sigma matrices loads neither
+    from .pi import check_pi
+
     n = check_pi(rows)
     return SigmaMatrix(n, _phi_mask(rows, n))
 
@@ -150,6 +151,8 @@ def phi_inverse(a: SigmaMatrix) -> list[list[int]]:
     fails one of the two and raises ValueError.  Bits of the mask at or
     past n^4 lie outside the matrix and are ignored.
     """
+    from .perm import _is_perm_trusted
+
     n = a.n
     bit_rows = _bit_rows(a)
     rows = [[0] * n for _ in range(2 * n)]
@@ -206,5 +209,7 @@ def sigma_disjoint(a: SigmaMatrix, b: SigmaMatrix) -> bool:
 
 def enumerate_sigma(n: int) -> Iterator[SigmaMatrix]:
     """All (n!)^(2n) block permutation matrices, via the pi bijection."""
+    from .pi import enumerate_pi
+
     for rows in enumerate_pi(n):
         yield SigmaMatrix(n, _phi_mask(rows, n))

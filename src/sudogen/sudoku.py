@@ -3,7 +3,8 @@
 A Sudoku matrix decomposes uniquely into n^2 pairwise-disjoint block
 permutation layers, layer k marking the cells that hold value k; and
 conversely any pairwise-disjoint full set of layers composes to a valid
-Sudoku matrix.  The main generator builds the stack layer by layer: layer
+Sudoku matrix (``is_sudoku``, ``compose`` and ``decompose``, defined in
+:mod:`sudogen.grid` and importable from here too).  The main generator builds the stack layer by layer: layer
 1 is the image of a random pi matrix, every later layer is picked
 uniformly among the layers that fit (counted, and the draw unranked to a
 layer), and a stack that no layer fits is restarted or backtracked; the
@@ -24,13 +25,16 @@ import functools
 import time
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import BudgetExhaustedError, CompositionError, InfeasibleError
+from .errors import BudgetExhaustedError, InfeasibleError
+# decompose, is_sudoku and sudoku_order stay public here, and gen_sudoku
+# calls compose through this module's globals, where the benchmark's
+# tracer wraps it.
+from .grid import compose, decompose, is_sudoku, sudoku_order  # noqa: F401
 from .pi import gen_pi_direct
 from .rng import RandomSource
 # is_sigma is unused here but stays importable as ``sudoku.is_sigma``,
 # which the cli-pipeline benchmark's traced replay hooks by name.
 from .sigma import SigmaMatrix, _phi_mask, is_sigma  # noqa: F401
-from .sigma import block_order as sudoku_order
 
 STATS_SCHEMA_VERSION = 4
 
@@ -46,95 +50,6 @@ SIGMA_COUNTS = {
     2: 288,
     3: 6_670_903_752_021_072_936_960,
 }
-
-
-def is_sudoku(cells: list[list[int]]) -> bool:
-    """True iff every row, column and n x n block is a permutation of 1..n^2.
-
-    Checks the 3 n^2 constraint groups with early exit.  Entries outside
-    1..n^2 raise ValueError (not a well-formed candidate grid).
-    """
-    n = sudoku_order(cells)
-    side = n * n
-    values = set(range(1, side + 1))
-    for i, row in enumerate(cells, start=1):
-        if not values.issuperset(row):
-            v = next(v for v in row if v not in values)
-            raise ValueError(f"entry {v!r} in row {i} outside range 1..{side}")
-    # every entry is one of the n^2 values, so a group is a permutation
-    # iff it holds n^2 distinct ones
-    blocks = (
-        [cells[s + i][t + j] for i in range(n) for j in range(n)]
-        for s in range(0, side, n)
-        for t in range(0, side, n)
-    )
-    return all(
-        len(set(group)) == side for groups in (cells, zip(*cells), blocks) for group in groups
-    )
-
-
-def compose(layers: list[SigmaMatrix]) -> list[list[int]]:
-    """Sum k * layer_k over a full pairwise-disjoint stack of layers.
-
-    Requires exactly n^2 layers of matching order, with masks in
-    [0, 2^(n^4)); ValueError names the first layer that is not.  Raises
-    CompositionError naming the first conflicting position if two layers
-    overlap, or the first uncovered position if the union misses a cell.
-    """
-    if not layers:
-        raise ValueError("no layers given")
-    n = layers[0].n
-    side = n * n
-    if len(layers) != side:
-        raise ValueError(f"expected {side} layers for order {n}, got {len(layers)}")
-    size = side * side
-    limit = 1 << size
-    acc = 0
-    flat = [0] * size  # cell (i, j) at i * side + j, as in the masks
-    for k, (order, mask) in enumerate(layers, start=1):
-        if order != n:
-            raise ValueError(f"layer {k} has order {order}, expected {n}")
-        if not 0 <= mask < limit:
-            raise ValueError(f"layer {k} mask is negative or has bits at or past n^4 = {size}")
-        overlap = acc & mask
-        if overlap:
-            i, j = divmod((overlap & -overlap).bit_length() - 1, side)
-            raise CompositionError(
-                f"layer {k} overlaps an earlier layer at ({i + 1}, {j + 1})",
-                position=(i + 1, j + 1),
-            )
-        acc |= mask
-        # set bits, not sigma._bit_rows: cheaper on the layered order-2 hot path
-        while mask:
-            low = mask & -mask
-            flat[low.bit_length() - 1] = k
-            mask ^= low
-    missing = ~acc & (limit - 1)
-    if missing:
-        i, j = divmod((missing & -missing).bit_length() - 1, side)
-        raise CompositionError(
-            f"no layer covers ({i + 1}, {j + 1})", position=(i + 1, j + 1)
-        )
-    return [flat[i : i + side] for i in range(0, size, side)]
-
-
-def decompose(cells: list[list[int]]) -> list[SigmaMatrix]:
-    """Split a Sudoku matrix into its n^2 value-indicator layers.
-
-    Layer k has a 1 exactly where the grid holds value k; the layers of
-    a valid Sudoku matrix are always valid, pairwise-disjoint block
-    permutation matrices.  ValueError if the input is not a Sudoku
-    matrix.
-    """
-    if not is_sudoku(cells):
-        raise ValueError("input is not a Sudoku matrix")
-    n = sudoku_order(cells)
-    side = n * n
-    masks = [0] * (side + 1)
-    for i in range(side):
-        for j in range(side):
-            masks[cells[i][j]] |= 1 << (i * side + j)
-    return [SigmaMatrix(n, masks[k]) for k in range(1, side + 1)]
 
 
 class DisjointStack:

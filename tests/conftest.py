@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from sudogen import SigmaMatrix, enumerate_pi, iter_sudoku, phi
@@ -59,6 +62,42 @@ class ScriptedSource:
     @property
     def exhausted(self) -> bool:
         return self.pos == len(self.values)
+
+
+class TreeSource(ScriptedSource):
+    """A ScriptedSource that draws 1 past its script, to walk a draw tree.
+
+    ``walk(run, limit)`` calls ``run(source)`` once per leaf of the tree of
+    every draw sequence ``run`` can make, depth first, and yields
+    ``(result, probability, draws)`` per leaf, the probability being the
+    product of 1/k over the leaf's draws as a Fraction.  Draws follow
+    ScriptedSource's convention of one ``uniform_int(k)`` per k, so the
+    leaves are exactly the real code's outcomes and their law is exact.
+    A walk with more than ``limit`` leaves fails.
+    """
+
+    def uniform_int(self, k: int) -> int:
+        if self.pos == len(self.values):
+            self.values.append(1)
+        return super().uniform_int(k)
+
+    @classmethod
+    def walk(cls, run, limit: int):
+        script: list[int] = []
+        for _ in range(limit):
+            source = cls(script)
+            result = run(source)
+            assert source.exhausted, "a run stopped before the end of its script"
+            yield result, Fraction(1, math.prod(source.calls)), source.draws
+            # the next leaf: the last draw that has a next value takes it,
+            # and the draws after it start again from 1
+            script = source.values
+            while script and script[-1] == source.calls[len(script) - 1]:
+                script.pop()
+            if not script:
+                return
+            script[-1] += 1
+        raise AssertionError(f"the draw tree has more than {limit} leaves")
 
 
 def reference_phi_mask(rows, n):

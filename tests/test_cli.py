@@ -30,8 +30,9 @@ from sudogen import (
     parse_pi,
     phi,
 )
-from sudogen import cli
+from sudogen import cli, draw
 from sudogen.cli import _COMMANDS, main
+from sudogen.formats import _MAX_SIGMA_ORDER
 
 EXAMPLE = [[1, 2, 3, 4], [3, 4, 1, 2], [2, 1, 4, 3], [4, 3, 2, 1]]
 
@@ -172,7 +173,7 @@ class TestGenSigma:
     @pytest.mark.parametrize("algorithm", ["direct", "rejection"])
     def test_extreme_order_refused_before_anything_is_built(self, monkeypatch, algorithm):
         for name in ("gen_pi_direct", "phi"):
-            monkeypatch.setattr(cli, name, unreachable)
+            monkeypatch.setattr(draw, name, unreachable)
         n = 10**9
         result = run("gen-sigma", "--n", str(n), "--seed", "1", "--algorithm", algorithm)
         assert result.exit_code == 3
@@ -185,12 +186,48 @@ class TestGenSigma:
 def test_max_iterations_under_direct_is_a_usage_error(monkeypatch, command, n):
     # refused before gen-sigma's order bound and before any draw
     for name in ("gen_perm_direct", "gen_pi_direct", "phi"):
-        monkeypatch.setattr(cli, name, unreachable)
+        monkeypatch.setattr(draw, name, unreachable)
     result = run(command, "--n", str(n), "--seed", "1", "--max-iterations", "5")
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.startswith(f"usage: sudogen {command}")
     assert "error: --max-iterations does not apply to --algorithm direct" in result.stderr
+
+
+# gen-perm and gen-pi: what the largest order builds, as the refusal names it
+ORDER_BOUNDS = {
+    "gen-perm": (draw._MAX_PERM_ORDER, "a permutation", "n", lambda n: n),
+    "gen-pi": (draw._MAX_PI_ORDER, "a pi matrix", "2n^2", lambda n: 2 * n * n),
+}
+
+
+@pytest.mark.parametrize("algorithm", ["direct", "rejection"])
+@pytest.mark.parametrize("command", list(ORDER_BOUNDS))
+def test_extreme_order_refused_before_drawing(monkeypatch, command, algorithm):
+    # no source is seeded and nothing is drawn or allocated
+    for name in ("RandomSource", "gen_perm_direct", "gen_pi_direct"):
+        monkeypatch.setattr(draw, name, unreachable)
+    bound, matrix, entries, count = ORDER_BOUNDS[command]
+    n = 10**9
+    result = run(command, "--n", str(n), "--seed", "1", "--algorithm", algorithm)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: {matrix} of order {n} has {entries} = {count(n)} entries, "
+        f"more than the {count(bound)} of order {bound}, the largest this command builds\n"
+    )
+
+
+@pytest.mark.parametrize("command", list(ORDER_BOUNDS))
+def test_the_order_bound_itself_is_drawn(monkeypatch, command):
+    bound = ORDER_BOUNDS[command][0]
+    drawn = []
+    monkeypatch.setattr(draw, "gen_perm_direct", lambda n, source: drawn.append(n) or [1])
+    monkeypatch.setattr(draw, "gen_pi_direct", lambda n, source: drawn.append(n) or [[1], [1]])
+    ok(command, "--n", str(bound), "--seed", "1")
+    assert drawn == [bound]
+    assert run(command, "--n", str(bound + 1), "--seed", "1").exit_code == 3
+    assert drawn == [bound]
 
 
 class TestGenSudoku:
@@ -363,7 +400,7 @@ class TestOnlyThePrintedFormatIsBuilt:
         def refuse(*_):
             raise AssertionError(f"{writer} called")
 
-        monkeypatch.setattr(f"sudogen.cli.{writer}", refuse)
+        monkeypatch.setattr(f"sudogen.draw.{writer}", refuse)
         result = ok(*args)
         assert result.stdout
         assert result.stderr.endswith("seed: 1\n")
@@ -478,7 +515,7 @@ class TestMapAndLayers:
 
     def test_phi_refuses_an_order_past_the_bound_before_mapping(self, monkeypatch):
         monkeypatch.setattr(cli, "phi", unreachable)
-        n = cli._MAX_SIGMA_ORDER + 1
+        n = _MAX_SIGMA_ORDER + 1
         result = run("map", "--phi", input=format_pi([list(range(1, n + 1))] * (2 * n)))
         assert result.exit_code == 3
         assert f"order {n} has n^4 = {n**4} entries" in result.stderr

@@ -27,6 +27,11 @@ HEAVY = [
 # What no CLI child loads: click, a parser the CLI does not use, and the
 # dataclasses module, which would bring inspect, ast, dis and tokenize.
 PARSER_AND_DATACLASSES = ["click", "dataclasses", "inspect"]
+# The sudogen modules a command that draws nothing has no use for.  With no
+# bytecode cache a child compiles each module it imports, so every one it
+# skips is start-up time saved.
+DRAWING = ["sudogen.draw", "sudogen.rng"]
+GENERATORS = ["sudogen.sudoku", "sudogen.perm", "sudogen.pi", *DRAWING]
 
 
 # Prepended to each probe: list sys.modules on stderr when the child exits.
@@ -112,8 +117,38 @@ class TestImportDiet:
 
     def test_decompose_loads_nothing_heavy(self):
         loaded = loaded_modules(RUN_CLI, "decompose", stdin=GRID)
-        assert "sudogen.sudoku" in loaded
+        assert "sudogen.grid" in loaded
         assert sorted(loaded & set(HEAVY)) == []
+
+    @pytest.mark.parametrize("command", ["decompose", "compose", "check --kind sudoku"])
+    def test_grid_commands_load_no_generator_code(self, command):
+        loaded = loaded_modules(RUN_CLI, *command.split(), stdin=TEXT_INPUTS[command])
+        assert "sudogen.grid" in loaded
+        assert sorted(loaded & set(GENERATORS)) == []
+
+    @pytest.mark.parametrize("command", ["map --phi", "map --phi-inverse"])
+    def test_map_loads_no_drawing_code(self, command):
+        loaded = loaded_modules(RUN_CLI, *command.split(), stdin=TEXT_INPUTS[command])
+        assert sorted(loaded & set(DRAWING)) == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--help"],
+            ["gen-sigma", "--n", "2", "--seed", "1"],
+            ["gen-sudoku", "--n", "2", "--seed", "1", "--stats"],
+            ["check", "--kind", "perm"],
+            *(command.split() for command in TEXT_INPUTS),
+        ],
+        ids=lambda args: " ".join(args),
+    )
+    def test_no_child_imports_the_cli_module(self, args):
+        # run as ``python -m`` the CLI is __main__; an import of sudogen.cli
+        # would compile and run it a second time
+        stdin = TEXT_INPUTS.get(" ".join(args), "3,1,2\n")
+        loaded = loaded_modules(RUN_CLI, *args, stdin=stdin)
+        assert "sudogen.formats" in loaded
+        assert "sudogen.cli" not in loaded
 
     def test_importing_the_cli_loads_nothing_heavy(self):
         loaded = loaded_modules("import sudogen.cli")
@@ -166,7 +201,7 @@ class TestLazyPackage:
         assert sudogen.BENCH_IDS is sudogen.analysis.BENCH_IDS
 
     def test_names_are_the_submodules_objects(self):
-        assert sudogen.compose is sudogen.sudoku.compose
+        assert sudogen.compose is sudogen.sudoku.compose is sudogen.grid.compose
         assert sudogen.sudoku_order is sudogen.sigma.block_order
         assert sudogen.gen_sudoku_rejection is sudogen.analysis.gen_sudoku_rejection
 

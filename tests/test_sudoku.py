@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from conftest import ScriptedSource, as_key
+from conftest import ScriptedSource, TreeSource, as_key
 from sudogen import (
     BudgetExhaustedError,
     CompositionError,
@@ -85,30 +85,22 @@ def pattern_grid(n, source):
     return [[digits[(n * (r % n) + r // n + c) % side] for c in cols] for r in rows]
 
 
-def layered_law(masks, side):
-    """Exact law of the layered process over a list of all sigma masks.
+def walked_law(policy):
+    """Exact law of ``gen_sudoku(2, policy=policy)`` over its own draw tree.
 
-    Each step picks uniformly among the masks disjoint from the stack so
-    far.  Returns ``(law, dead)``: the probability of each composed grid
-    and the total probability of reaching a stack no mask extends.
+    Returns ``(law, leaves, mean_draws)``: the probability of each grid,
+    the number of leaves and the expected number of draws, as Fractions.
+    Every leaf must run without a restart or a backtrack.
     """
     law = Counter()
-    dead = Fraction(0)
-
-    def extend(stack, used, p):
-        nonlocal dead
-        if len(stack) == side:
-            law[as_key(compose(stack))] += p
-            return
-        fits = [m for m in masks if not m.mask & used]
-        if not fits:
-            dead += p
-            return
-        for m in fits:
-            extend(stack + [m], used | m.mask, p / len(fits))
-
-    extend([], 0, Fraction(1))
-    return law, dead
+    leaves, mean_draws = 0, Fraction(0)
+    run = lambda source: gen_sudoku(2, source, policy=policy)
+    for (cells, stats), p, draws in TreeSource.walk(run, limit=1000):
+        assert stats.restarts == stats.backtracks == 0
+        law[as_key(cells)] += p
+        leaves += 1
+        mean_draws += p * draws
+    return law, leaves, mean_draws
 
 
 class TestShapeAndValidity:
@@ -684,18 +676,23 @@ class TestLayeredGenerator:
         # at order 2 layers 2 and 3 are always picked from an enumeration
         assert d["exact_layers"] == 2
 
-    def test_exact_law_order_two(self, sigma16, sudoku288_keys):
-        law, dead = layered_law(sigma16, 4)
-        assert dead == 0
-        assert set(law) == sudoku288_keys
-        assert Counter(law.values()) == {Fraction(1, 224): 160, Fraction(1, 448): 128}
+    def test_exact_law_order_two(self, sudoku288_keys):
+        # the generator's own draws, walked exhaustively: 288 leaves, one
+        # grid each, and never a dead end under either policy
+        for policy in ("restart", "backtrack"):
+            law, leaves, mean_draws = walked_law(policy)
+            assert leaves == 288
+            assert set(law) == sudoku288_keys
+            assert Counter(law.values()) == {Fraction(1, 224): 160, Fraction(1, 448): 128}
+            # 8 draws make the pi matrix of layer 1, one picks each of layers 2 and 3
+            assert mean_draws == 10
 
-    def test_coverage_and_histogram_diagnostic(self, sigma16, sudoku288_keys):
+    def test_coverage_and_histogram_diagnostic(self, sudoku288_keys):
         # every one of the 288 order-2 matrices is hit in 20 000 runs, and
         # the histogram fits the process's exact law (not the uniform one:
         # acceptance odds at layer three depend on the pair already on the
         # stack)
-        law, _ = layered_law(sigma16, 4)
+        law, _, _ = walked_law("restart")
         src = RandomSource(808)
         samples = 20_000
         counts = Counter(as_key(gen_sudoku(2, src)[0]) for _ in range(samples))
