@@ -136,7 +136,7 @@ def diff_records(golden: list[dict], current: list[dict]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser = argparse.ArgumentParser(description=(__doc__ or "").split("\n\n")[0])
     parser.add_argument("mode", choices=["record", "diff"])
     parser.add_argument("golden", type=Path, help="golden JSON file")
     args = parser.parse_args(argv)

@@ -191,25 +191,15 @@ _MAX_ITERATIONS = "--max-iterations", dict(
 )
 _TEXT_OR_JSON = _format("text", "json")
 _DIRECT_OR_REJECTION = ["direct", "rejection"]
+# the options of gen-perm and gen-pi
+_GEN_OPTIONS = [_N, _SEED_OPTION, _algorithm(_DIRECT_OR_REJECTION), _MAX_ITERATIONS, _TEXT_OR_JSON]
 
 # Each command: its function, whose docstring is its help, and its options
 # as (name, add_argument keywords) pairs.  A drawing command's function is
 # named by a string, its name in sudogen.draw.
 _COMMANDS = {
-    "gen-perm": (
-        "gen_perm_cmd",
-        [
-            _N,
-            _SEED_OPTION,
-            _algorithm(_DIRECT_OR_REJECTION),
-            _MAX_ITERATIONS,
-            _TEXT_OR_JSON,
-        ],
-    ),
-    "gen-pi": (
-        "gen_pi_cmd",
-        [_N, _SEED_OPTION, _algorithm(_DIRECT_OR_REJECTION), _MAX_ITERATIONS, _TEXT_OR_JSON],
-    ),
+    "gen-perm": ("gen_perm_cmd", _GEN_OPTIONS),
+    "gen-pi": ("gen_pi_cmd", _GEN_OPTIONS),
     "gen-sigma": (
         "gen_sigma_cmd",
         [
@@ -370,7 +360,8 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
             fn = getattr(draw, fn)
         sub = commands.add_parser(
             name,
-            help=fn.__doc__.split("\n", 1)[0],
+            # python -OO strips docstrings, and with them this help text
+            help=(fn.__doc__ or "").split("\n", 1)[0],
             description=fn.__doc__,
             add_help=False,
             allow_abbrev=False,

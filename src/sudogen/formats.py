@@ -35,7 +35,7 @@ import re
 import sys
 
 from .errors import InfeasibleError, MatrixParseError
-from .sigma import SigmaMatrix, _bit_rows
+from .sigma import SigmaMatrix, _bit_rows, block_order
 
 _INT_RE = re.compile(r"[+-]?\d+")
 
@@ -154,9 +154,8 @@ def parse_binary_matrix(text: str) -> list[list[int]]:
 def format_sudoku(cells: list[list[int]], pretty: bool = False) -> str:
     if not pretty:
         return "\n".join(" ".join(str(v) for v in row) for row in cells)
-    side = len(cells)
-    n = round(side**0.5)
-    width = len(str(side))
+    n = block_order(cells)
+    width = len(str(n * n))
     groups = []
     for s in range(n):
         block_rows = []
@@ -177,27 +176,21 @@ def parse_cells(text: str) -> list[list[int]]:
 
 
 def parse_layers(text: str) -> list[list[list[int]]]:
-    """Blank-line-separated blocks, each a 0/1 matrix in sigma text form."""
+    """Blank-line-separated blocks, each a 0/1 matrix in sigma text form.
+
+    A block ends after as many rows as the first row has entries, or
+    where a blank line lies between two rows.
+    """
     blocks: list[list[list[int]]] = []
-    current: list[list[int]] = []
-    expected: int | None = None
-    for no, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            if current:
-                blocks.append(current)
-                current = []
-            continue
-        row = _parse_bit_line(raw, no)
-        if expected is None:
-            expected = len(row)
-        current.append(row)
-        if len(current) == expected:
-            blocks.append(current)
-            current = []
-    if current:
-        blocks.append(current)
-    if not blocks:
-        raise MatrixParseError("empty input")
+    side = 0
+    prev = 0
+    for no, line in _split_lines(text):
+        row = _parse_bit_line(line, no)
+        if not blocks or len(blocks[-1]) == side or no > prev + 1:
+            blocks.append([])
+        blocks[-1].append(row)
+        side = side or len(row)
+        prev = no
     return blocks
 
 
@@ -270,7 +263,10 @@ def perm_json(values: list[int], seed: int | None) -> dict:
 
 
 def pi_json(rows: list[list[int]], seed: int | None) -> dict:
-    return {"n": len(rows) // 2, "rows": [list(r) for r in rows], "seed": seed}
+    # imported here, so a process that writes only text loads no sudogen.pi
+    from .pi import pi_order
+
+    return {"n": pi_order(rows), "rows": [list(r) for r in rows], "seed": seed}
 
 
 def sigma_json(matrix: SigmaMatrix, seed: int | None) -> dict:
@@ -282,12 +278,7 @@ def sigma_json(matrix: SigmaMatrix, seed: int | None) -> dict:
 
 
 def sudoku_json(cells: list[list[int]], seed: int | None) -> dict:
-    side = len(cells)
-    return {
-        "n": round(side**0.5),
-        "cells": [list(r) for r in cells],
-        "seed": seed,
-    }
+    return {"n": block_order(cells), "cells": [list(r) for r in cells], "seed": seed}
 
 
 def _echo(text: str = "", err: bool = False, nl: bool = True) -> None:

@@ -8,21 +8,25 @@ from fractions import Fraction
 import pytest
 
 import sudogen.analysis as analysis
-from conftest import ScriptedSource
+from conftest import ScriptedSource, TreeSource
 from sudogen import (
     BENCH_IDS,
     GENERATOR_IDS,
+    BudgetExhaustedError,
     InfeasibleError,
     RandomSource,
     UnknownSigmaError,
     bench_tau,
     closed_form_p,
     estimate_p,
+    gen_perm_direct,
     gen_perm_rejection,
     gen_pi_direct,
     gen_pi_rejection,
     gen_sigma_rejection,
     gen_sudoku_rejection,
+    is_permutation,
+    is_pi,
 )
 
 SIGMA_3 = 6_670_903_752_021_072_936_960
@@ -88,6 +92,47 @@ class TestClosedForm:
     def test_everything_is_exact_rational(self):
         for generator_id in GENERATOR_IDS:
             assert isinstance(closed_form_p(generator_id, 2), Fraction)
+
+
+def _accepts_in_one_attempt(generate):
+    # One attempt of a rejection loop, as the loop runs it: a budget of
+    # one attempt is exhausted exactly when that attempt is rejected.
+    def run(n, source):
+        try:
+            generate(n, source, 1)
+        except BudgetExhaustedError:
+            return False
+        return True
+
+    return run
+
+
+# generator id -> (one attempt: (n, source) -> accepted, draws per attempt)
+ATTEMPTS = {
+    "perm-rejection": (_accepts_in_one_attempt(gen_perm_rejection), lambda n: n),
+    "perm-direct": (lambda n, s: is_permutation(gen_perm_direct(n, s)), lambda n: n),
+    "pi-rejection": (_accepts_in_one_attempt(gen_pi_rejection), lambda n: 2 * n * n),
+    "pi-direct": (lambda n, s: is_pi(gen_pi_direct(n, s)), lambda n: 2 * n * n),
+    "sigma-rejection": (_accepts_in_one_attempt(gen_sigma_rejection), lambda n: n**4),
+    "sudoku-rejection": (_accepts_in_one_attempt(gen_sudoku_rejection), lambda n: 2 * n**4),
+}
+
+
+@pytest.mark.parametrize(
+    "generator_id, n",
+    [(gid, n) for gid in GENERATOR_IDS for n in (1, 2)] + [("pi-direct", 3)],
+)
+def test_closed_form_is_the_walked_acceptance(generator_id, n):
+    # Every draw sequence of one attempt, each with its exact probability:
+    # the accepted mass is the code's own acceptance probability.
+    attempt, draws_per_attempt = ATTEMPTS[generator_id]
+    accepted = total = Fraction(0)
+    for ok, p, draws in TreeSource.walk(lambda source: attempt(n, source), limit=70_000):
+        assert draws == draws_per_attempt(n)
+        total += p
+        accepted += p if ok else 0
+    assert total == 1
+    assert accepted == closed_form_p(generator_id, n)
 
 
 class TestEstimate:

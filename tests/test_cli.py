@@ -859,3 +859,48 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert proc.wait(timeout=60) == 1
     assert b"Traceback" not in stderr
     assert stderr == b""
+
+
+def _child(*flags_and_args, input=None):
+    proc = subprocess.run(
+        [sys.executable, *flags_and_args],
+        input=input,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout
+
+
+def _without_summaries(listing):
+    # The bare --help listing with each command's docstring summary taken
+    # out: a command line keeps its name, a wrapped summary line goes.
+    head, commands = listing.split("\n  COMMAND\n")
+    names = [line.split()[0] for line in commands.splitlines() if line[4] != " "]
+    return "\n".join([head, "  COMMAND", *(f"    {name}" for name in names)]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "args, input",
+    [
+        (["gen-sudoku", "--n", "2", "--seed", "5"], None),
+        (["decompose"], format_sudoku(EXAMPLE) + "\n"),
+        (["--help"], None),
+        (["gen-sudoku", "--help"], None),
+    ],
+    ids=["gen-sudoku", "decompose", "help", "gen-sudoku-help"],
+)
+def test_same_output_under_python_OO(args, input):
+    # -OO strips docstrings: every output is the plain child's, except the
+    # help texts read from the command functions' docstrings
+    code, plain = _child("-m", "sudogen.cli", *args, input=input)
+    code_oo, stripped = _child("-OO", "-m", "sudogen.cli", *args, input=input)
+    assert code_oo == code == 0
+    if args == ["--help"]:
+        plain = _without_summaries(plain)
+    elif "--help" in args:
+        # a command's description is its docstring; its options' help is not
+        plain = plain.split("\noptions:\n")[1]
+        stripped = stripped.split("\noptions:\n")[1]
+    assert stripped == plain

@@ -225,6 +225,49 @@ class TestJson:
         assert d["seed"] == 0
 
 
+# Grids whose side is not a positive perfect square, or that are ragged,
+# with the message of the shape rule (sigma.block_order) that refuses them.
+MALFORMED_GRIDS = {
+    "3x3": ([[1, 2, 3], [2, 3, 1], [3, 1, 2]], "side 3 is not a positive perfect square"),
+    "5x5": ([[(i + j) % 5 + 1 for j in range(5)] for i in range(5)], "side 5 is not"),
+    "empty": ([], "side 0 is not"),
+    "ragged": ([[1, 2, 3, 4], [3, 4, 1, 2], [2, 1], [4, 3, 2, 1]], "row 3 has length 2"),
+}
+
+
+class TestWritersTakeTheShapeRules:
+    @pytest.mark.parametrize("name", MALFORMED_GRIDS)
+    def test_pretty_sudoku_refuses_a_malformed_grid(self, name):
+        cells, message = MALFORMED_GRIDS[name]
+        with pytest.raises(ValueError, match=message):
+            format_sudoku(cells, pretty=True)
+
+    @pytest.mark.parametrize("name", MALFORMED_GRIDS)
+    def test_sudoku_json_refuses_a_malformed_grid(self, name):
+        cells, message = MALFORMED_GRIDS[name]
+        with pytest.raises(ValueError, match=message):
+            sudoku_json(cells, 0)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1], [1], [1]], "even, positive row count, got 3"),
+            ([], "even, positive row count, got 0"),
+            ([[1, 2], [2, 1], [1], [2, 1]], "row 3 has length 1, expected 2"),
+        ],
+    )
+    def test_pi_json_refuses_a_malformed_matrix(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            pi_json(rows, 0)
+
+    def test_orders_of_well_formed_inputs(self):
+        assert sudoku_json([[1]], None)["n"] == 1
+        assert pi_json([[1], [1]], None)["n"] == 1
+        cells, _ = gen_sudoku(3, RandomSource(1))
+        assert sudoku_json(cells, 1)["n"] == 3
+        assert format_sudoku(cells, pretty=True).count("\n\n") == 2
+
+
 @given(
     n=st.integers(min_value=1, max_value=8),
     seed=st.integers(min_value=0, max_value=2**32),
