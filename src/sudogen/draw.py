@@ -126,8 +126,10 @@ def gen_sudoku_cmd(args):
         },
         "--algorithm layered": {"--max-iterations": args.max_iterations is not None},
         "--policy backtrack": {"--max-restarts": args.max_restarts is not None},
+        "--format json": {"--pretty": args.pretty},
     }
-    for choice in (f"--algorithm {args.algorithm}", f"--policy {args.policy_mode}"):
+    chosen = f"--algorithm {args.algorithm}", f"--policy {args.policy_mode}", f"--format {args.fmt}"
+    for choice in chosen:
         for option, given in unread.get(choice, {}).items():
             if given:
                 args.parser.error(f"{option} does not apply to {choice}")

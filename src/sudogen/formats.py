@@ -12,15 +12,10 @@ report failures with 1-based line and token positions.
 
 A row of a sigma matrix whose single 1 is in column c is written as its
 one-hot line: side - 1 "0"s and one "1" at position c, joined by single
-spaces (``0 1 0 0`` for c = 1 at order 2).  The ``compose`` command
-reads layer text made only of such lines, in full valid blocks separated
-by empty lines, a line at a time with one dict lookup per line.  Any
-other text (other spacing, tabs, signs, whitespace-only lines, an
-invalid block) takes the token path from its start, so its errors,
-their positions and the order in which they win are those of
-``parse_layers`` and ``SigmaMatrix.from_rows``.  Cell rows whose tokens
-are all unsigned decimal digits are converted in one pass, and any
-other row token by token.
+spaces (``0 1 0 0`` for c = 1 at order 2).  The 0/1 readers read such a
+line by one dict lookup and any other line token by token.  Cell rows
+whose tokens are all unsigned decimal digits are converted in one pass,
+and any other row token by token.
 
 The CLI's two command modules, :mod:`sudogen.cli` and
 :mod:`sudogen.draw`, share two things from here: ``_echo``, the one
@@ -30,12 +25,11 @@ not build.
 
 from __future__ import annotations
 
-import math
 import re
 import sys
 
 from .errors import InfeasibleError, MatrixParseError
-from .sigma import SigmaMatrix, _bit_rows, block_order
+from .sigma import SigmaMatrix, _bit_rows, _columns_fit, _from_columns, block_order
 
 _INT_RE = re.compile(r"[+-]?\d+")
 
@@ -48,15 +42,13 @@ def _parse_int(token: str, line_no: int, token_no: int) -> int:
     return int(token)
 
 
-def _split_lines(text: str) -> list[tuple[int, str]]:
-    """Non-blank lines with their 1-based line numbers; MatrixParseError if none."""
-    out = []
-    for no, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            out.append((no, line))
-    if not out:
+def _split_lines(text: str) -> tuple[list[str], list[int]]:
+    """Non-blank lines and their 1-based line numbers; MatrixParseError if none."""
+    lines = text.splitlines()
+    nos = [no for no, line in enumerate(lines, start=1) if line.strip()]
+    if not nos:
         raise MatrixParseError("empty input")
-    return out
+    return [lines[no - 1] for no in nos], nos
 
 
 def _parse_csv_line(line: str, line_no: int) -> list[int]:
@@ -107,12 +99,12 @@ def format_perm(values: list[int]) -> str:
 
 
 def parse_perm(text: str) -> list[int]:
-    lines = _split_lines(text)
+    lines, nos = _split_lines(text)
     if len(lines) > 1:
         raise MatrixParseError(
-            "expected a single line of comma-separated integers", line=lines[1][0]
+            "expected a single line of comma-separated integers", line=nos[1]
         )
-    return _parse_csv_line(lines[0][1], lines[0][0])
+    return _parse_csv_line(lines[0], nos[0])
 
 
 def format_pi(rows: list[list[int]]) -> str:
@@ -120,7 +112,7 @@ def format_pi(rows: list[list[int]]) -> str:
 
 
 def parse_pi(text: str) -> list[list[int]]:
-    return [_parse_csv_line(line, no) for no, line in _split_lines(text)]
+    return [_parse_csv_line(line, no) for line, no in zip(*_split_lines(text))]
 
 
 def _one_hot_lines(side: int) -> list[str]:
@@ -146,9 +138,50 @@ def format_sigma(matrix: SigmaMatrix) -> str:
     return _format_sigma(matrix, _one_hot_lines(matrix.side))
 
 
+def _read_bit_blocks(text: str) -> tuple[int, list[list[int | list[int]]]]:
+    """``parse_layers``' blocks of 0/1 rows, and the one-hot width.
+
+    A one-hot line of the first line's width, half its length rounded up,
+    is read by one dict lookup as the column of its 1; any other line by
+    ``_parse_bit_line``, as its list of entries.
+    """
+    lines, nos = _split_lines(text)
+    width = (len(lines[0]) + 1) // 2
+    # The one-hot lines are width lines as long as the first, so they are
+    # built only where they take no more memory than the text.
+    fits = width * len(lines[0]) <= len(text)
+    column = {line: c for c, line in enumerate(_one_hot_lines(width) if fits else [])}
+    rows = list(map(column.get, lines))
+    if None in rows:
+        for k in [k for k, row in enumerate(rows) if row is None]:
+            rows[k] = _parse_bit_line(lines[k], nos[k])
+    # parse_layers' block rule; a line number skips where a blank line lies
+    side = width if type(rows[0]) is int else len(rows[0])
+    blocks = []
+    i = 0
+    while i < len(rows):
+        j = min(i + side, len(rows))
+        if nos[j - 1] - nos[i] != j - 1 - i:
+            j = i + 1
+            while nos[j] == nos[j - 1] + 1:
+                j += 1
+        blocks.append(rows[i:j])
+        i = j
+    return width, blocks
+
+
+def _entries(row: int | list[int], width: int) -> list[int]:
+    # a row of _read_bit_blocks as its list of entries
+    if type(row) is list:
+        return row
+    entries = [0] * width
+    entries[row] = 1
+    return entries
+
+
 def parse_binary_matrix(text: str) -> list[list[int]]:
     """Rows of space-separated 0/1 digits; shape is checked downstream."""
-    return [_parse_bit_line(line, no) for no, line in _split_lines(text)]
+    return [row for block in parse_layers(text) for row in block]
 
 
 def format_sudoku(cells: list[list[int]], pretty: bool = False) -> str:
@@ -172,7 +205,7 @@ def format_sudoku(cells: list[list[int]], pretty: bool = False) -> str:
 
 def parse_cells(text: str) -> list[list[int]]:
     """Rows of space-separated integers (blank separator lines ignored)."""
-    return [_parse_space_line(line, no) for no, line in _split_lines(text)]
+    return [_parse_space_line(line, no) for line, no in zip(*_split_lines(text))]
 
 
 def parse_layers(text: str) -> list[list[list[int]]]:
@@ -181,70 +214,24 @@ def parse_layers(text: str) -> list[list[list[int]]]:
     A block ends after as many rows as the first row has entries, or
     where a blank line lies between two rows.
     """
-    blocks: list[list[list[int]]] = []
-    side = 0
-    prev = 0
-    for no, line in _split_lines(text):
-        row = _parse_bit_line(line, no)
-        if not blocks or len(blocks[-1]) == side or no > prev + 1:
-            blocks.append([])
-        blocks[-1].append(row)
-        side = side or len(row)
-        prev = no
-    return blocks
+    width, blocks = _read_bit_blocks(text)
+    return [[_entries(row, width) for row in block] for block in blocks]
 
 
 def _read_layers(text: str) -> list[SigmaMatrix]:
-    """The layers of ``parse_layers`` text, each built as ``from_rows`` builds it.
+    """``[SigmaMatrix.from_rows(b) for b in parse_layers(text)]``, in value or error.
 
-    Equal in value, or in the error raised, to
-    ``[SigmaMatrix.from_rows(b) for b in parse_layers(text)]``.  Text of
-    one-hot lines as ``format_sigma`` writes them, in valid blocks
-    separated by empty lines, is read a line at a time; any other text
-    takes that token path from its start.
+    A full block of one-hot lines that passes ``is_sigma``'s column rule
+    is packed from its columns; any other goes through ``from_rows``.
     """
-    layers = _read_one_hot_layers(text)
-    if layers is None:
-        layers = [SigmaMatrix.from_rows(b) for b in parse_layers(text)]
-    return layers
-
-
-def _read_one_hot_layers(text: str) -> list[SigmaMatrix] | None:
-    # None unless every line is empty or a one-hot line of the first
-    # line's width, every block is full and passes is_sigma's checks
-    # (distinct columns, in distinct n x n blocks), and empty lines fall
-    # only between blocks.
-    lines = text.splitlines()
-    first = next(filter(None, lines), "")
-    side = (len(first) + 1) // 2
-    n = math.isqrt(side)
-    # A block is side lines as long as the first, so the lines built here
-    # never take more memory than the text they are looked up in.
-    if side == 0 or n * n != side or side * len(first) > len(text):
-        return None
-    column = {line: c for c, line in enumerate(_one_hot_lines(side))}
-    # row bits of a one-hot row, most significant first, by column
-    bits = ["0" * (side - 1 - c) + "1" + "0" * c for c in range(side)]
+    width, blocks = _read_bit_blocks(text)
     layers = []
-    cols: list[int] = []
-    for line in lines:
-        if not line:
-            if cols:
-                return None
-            continue
-        c = column.get(line)
-        if c is None:
-            return None
-        cols.append(c)
-        if len(cols) == side:
-            if len(set(cols)) != side:
-                return None
-            if len({i // n * n + c // n for i, c in enumerate(cols)}) != side:
-                return None
-            mask = int("".join(bits[c] for c in reversed(cols)), 2)
-            layers.append(SigmaMatrix(n, mask))
-            cols = []
-    return None if cols else layers
+    for block in blocks:
+        if len(block) == width and all(type(r) is int for r in block) and _columns_fit(block):
+            layers.append(_from_columns(block))
+        else:
+            layers.append(SigmaMatrix.from_rows([_entries(row, width) for row in block]))
+    return layers
 
 
 def format_layers(layers: list[SigmaMatrix]) -> str:

@@ -42,13 +42,8 @@ class SigmaMatrix(NamedTuple):
         """Build from a dense 0/1 matrix; ValueError if it is not valid."""
         if not is_sigma(rows):
             raise ValueError("matrix is not a block permutation matrix")
-        side = len(rows)
-        n = math.isqrt(side)
-        mask = 0
-        for i, row in enumerate(rows):
-            # exactly one 1 per row, guaranteed by is_sigma
-            mask |= 1 << (i * side + row.index(1))
-        return cls(n, mask)
+        # exactly one 1 per row, guaranteed by is_sigma
+        return _from_columns([row.index(1) for row in rows])
 
     @classmethod
     def from_ones(cls, n: int, ones: list[tuple[int, int]]) -> "SigmaMatrix":
@@ -76,6 +71,23 @@ class SigmaMatrix(NamedTuple):
     def to_rows(self) -> list[list[int]]:
         """Dense 0/1 row lists."""
         return [list(map(int, row)) for row in _bit_rows(self)]
+
+
+def _columns_fit(columns: list[int]) -> bool:
+    # is_sigma's column rule: a square side, distinct columns, distinct blocks
+    n = math.isqrt(len(columns))
+    blocks = {i // n * n + j // n for i, j in enumerate(columns)}
+    return len(set(columns)) == len(blocks) == len(columns) == n * n
+
+
+def _from_columns(columns: list[int]) -> SigmaMatrix:
+    # row i's one 1 in column columns[i]; bytes keep the cost linear in n^4
+    side = len(columns)
+    mask = bytearray((side * side + 7) // 8)
+    for i, j in enumerate(columns):
+        k = i * side + j
+        mask[k >> 3] |= 1 << (k & 7)
+    return SigmaMatrix(math.isqrt(side), int.from_bytes(mask, "little"))
 
 
 def _bit_rows(a: SigmaMatrix) -> list[str]:
@@ -185,7 +197,7 @@ def is_sigma(rows: list[list[int]]) -> bool:
     square and entries must be 0/1; anything else is a malformed
     candidate and raises ValueError naming the first bad entry.
     """
-    n = block_order(rows)
+    block_order(rows)
     single = True
     for i, row in enumerate(rows, start=1):
         ones = row.count(1)
@@ -195,9 +207,7 @@ def is_sigma(rows: list[list[int]]) -> bool:
         single = single and ones == 1
     if not single:
         return False
-    columns = [row.index(1) for row in rows]
-    blocks = {(i // n, j // n) for i, j in enumerate(columns)}
-    return len(set(columns)) == len(blocks) == n * n
+    return _columns_fit([row.index(1) for row in rows])
 
 
 def sigma_disjoint(a: SigmaMatrix, b: SigmaMatrix) -> bool:

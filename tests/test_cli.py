@@ -314,6 +314,15 @@ class TestGenSudoku:
         assert result.stderr.startswith("usage: sudogen gen-sudoku")
         assert f"error: {option} does not apply to --algorithm {algorithm}" in result.stderr
 
+    def test_pretty_json_is_a_usage_error_and_draws_nothing(self, monkeypatch):
+        # --pretty shapes text output only, so JSON output would leave it unread
+        monkeypatch.setattr(draw, "RandomSource", unreachable)
+        result = run("gen-sudoku", "--n", "2", "--seed", "1", "--pretty", "--format", "json")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: sudogen gen-sudoku")
+        assert "error: --pretty does not apply to --format json" in result.stderr
+
     def test_max_restarts_under_backtracking_is_a_usage_error(self):
         # backtracking never restarts, so the bound would go unread
         result = run(

@@ -291,6 +291,11 @@ def test_sigma_text_round_trip_generated(n, seed):
 def reference_bit_rows(text):
     """Token-by-token reading of 0/1 rows: each token must be an integer,
     then each value 0 or 1; errors give 1-based line and token."""
+    return [row for _, row in reference_numbered_bit_rows(text)]
+
+
+def reference_numbered_bit_rows(text):
+    """The rows of ``reference_bit_rows``, each with its 1-based line number."""
     rows = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -303,7 +308,7 @@ def reference_bit_rows(text):
         for token_no, v in enumerate(row, start=1):
             if v not in (0, 1):
                 raise MatrixParseError(f"expected 0 or 1, got {v}", line=line_no, token=token_no)
-        rows.append(row)
+        rows.append((line_no, row))
     return rows
 
 
@@ -415,15 +420,34 @@ def test_bit_row_parsers_match_reference(text):
         expected = ("error", ("empty input", None, None))
     assert _outcome(parse_binary_matrix, text) == expected
     layers = _outcome(parse_layers, text)
+    assert layers == _outcome(reference_blocks, text)
     if layers[0] == "rows":
         layers = ("rows", [row for block in layers[1] for row in block])
     assert layers == expected
 
 
+def reference_blocks(text):
+    """parse_layers restated on the token reading: a block ends after as
+    many rows as the first row has entries, or where a blank line lies
+    between two rows."""
+    numbered = reference_numbered_bit_rows(text)
+    if not numbered:
+        raise MatrixParseError("empty input")
+    side = len(numbered[0][1])
+    blocks = []
+    prev = 0
+    for line_no, row in numbered:
+        if not blocks or len(blocks[-1]) == side or line_no > prev + 1:
+            blocks.append([])
+        blocks[-1].append(row)
+        prev = line_no
+    return blocks
+
+
 def reference_layers(text):
-    """The token path of compose: every block read by parse_layers, then
+    """The token path of compose: every block of reference_blocks
     validated and packed by SigmaMatrix.from_rows."""
-    return [SigmaMatrix.from_rows(block) for block in parse_layers(text)]
+    return [SigmaMatrix.from_rows(block) for block in reference_blocks(text)]
 
 
 def _layers_outcome(read, text):
@@ -461,6 +485,7 @@ class TestLayerReader:
             got = _layers_outcome(_read_layers, text)
             assert got[0] == "layers"
             assert got == _layers_outcome(reference_layers, text)
+            assert _outcome(parse_layers, text) == _outcome(reference_blocks, text)
 
     @given(
         data=st.data(),
@@ -515,6 +540,11 @@ class TestLayerReader:
             "0 0 1 0" + "\n0 0 1 0" * 3,  # one column four times
             "1 0 0 0\n0 0 1 0\n1 0 0 0\n0 0 1 0",  # repeated columns in distinct blocks
             "1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",  # a first line wider than the text holds
+            "1 0 0 0\n0 0\t1 0\n0 1 0 0\n0 0 0 1",  # one tab-separated row among one-hot rows
+            "1\t0\t0\t0\n0 0 1 0\n0 1 0 0\n0 0 0 1",  # a tab-separated first line
+            "1 0 0 0\n0 0 1 0\n0 1 0 0\n0 0 0 1\n\n1 0\n0 1",  # one-hot lines of two widths
+            "1 0 0 0\n0 0 1 0\n0 1 0 0\n\n0 0 0 1",  # a block one row short, before a blank line
+            "1 0 0 0\n\n0 1 0 0\n0 0 1 0\n0 0 0 1",  # a one-row block: a square, not its width
         ],
     )
     def test_edge_texts_match_the_token_path(self, text):
@@ -540,6 +570,31 @@ class TestLayerReader:
         assert len(layers) == 64 and calls == []
         assert _read_layers(text.replace(" ", "\t")) == layers
         assert calls == [64] * 64
+
+
+def canonical_masks(layers):
+    """True iff no mask has a bit at or past n^4, outside its matrix."""
+    return all(0 <= a.mask < 1 << a.n**4 for a in layers)
+
+
+class TestCanonicalMasks:
+    """Every SigmaMatrix built from outside input has a mask in [0, 2^(n^4))."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    def test_layers_read_from_text(self, n):
+        for text in layer_texts(n, seed=n):
+            layers = _read_layers(text)
+            assert canonical_masks(layers)
+            assert canonical_masks([SigmaMatrix.from_rows(b) for b in parse_layers(text)])
+            rows = [parse_binary_matrix(format_sigma(a)) for a in layers]
+            assert canonical_masks([SigmaMatrix.from_rows(r) for r in rows])
+
+    def test_order_two_enumerations(self, pi16, sudoku288):
+        assert canonical_masks([phi(rows) for rows in pi16])
+        for cells in sudoku288:
+            layers = decompose(cells)
+            assert canonical_masks(layers)
+            assert canonical_masks(_read_layers(format_layers(layers)))
 
 
 def reference_cell_rows(text):
