@@ -38,7 +38,6 @@ from .errors import (
 from .formats import (
     _echo,
     _read_layers,
-    _refuse_sigma_order,
     format_layers,
     format_pi,
     format_sigma,
@@ -118,7 +117,7 @@ def map_cmd(args):
         from .pi import check_pi
 
         rows = parse_pi(sys.stdin.read())
-        _refuse_sigma_order(check_pi(rows))
+        _refuse_order(check_pi(rows), "sigma")
         _echo(format_sigma(phi(rows)))
     else:
         bits = parse_binary_matrix(sys.stdin.read())
@@ -367,10 +366,51 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
             allow_abbrev=False,
         )
         sub.add_argument("--help", action="help", help="Show this message and exit.")
-        for option, keywords in options:
-            sub.add_argument(option, **keywords)
-        sub.set_defaults(run=fn, parser=sub)
+        actions = {option: sub.add_argument(option, **keywords) for option, keywords in options}
+        sub.set_defaults(run=fn, parser=sub, command=name, actions=actions)
     return parser
+
+
+# An option the run does not read is a usage error, not silently dropped.
+# Each rule: an option, the one value of it under which the options after
+# it are read, and those options; checked in this order for every command
+# that has them.  An option is given when its value is not its default.
+_UNREAD_RULES = [
+    ("--algorithm", "rejection", ["--max-iterations"]),
+    ("--algorithm", "layered", ["--policy", "--max-restarts", "--parallel"]),
+    ("--policy", "restart", ["--max-restarts"]),
+    ("--format", "text", ["--pretty"]),
+]
+
+# The largest order of each kind of matrix a command builds, what one of
+# order n is called, and its entries as text and as a function of n.  A
+# permutation is n draws decoded in O(n^2) steps and a pi matrix 2n of them,
+# O(n^3); a block permutation matrix is an n^4-bit mask and n^4 entries of
+# text.  A gen-perm process took about 0.9 s and 16 MB at order 8192 (3.1 s
+# at 16384), gen-pi 1.1 s and 21 MB at 384 (2.8 s and 28 MB at 512), and
+# gen-sigma or map --phi 0.5 s and 51 MB at 48 (2.6 s and 161 MB at 64;
+# 2 CPUs, Python 3.11.7).
+_BOUNDS = {
+    "perm": (8192, "a permutation", "n", lambda n: n),
+    "pi": (384, "a pi matrix", "2n^2", lambda n: 2 * n * n),
+    "sigma": (48, "a block permutation matrix", "n^4", lambda n: n**4),
+}
+# The kind each command builds: by its name, or for estimate and bench by
+# their generator id up to its first "-"
+_KINDS = {
+    "gen-perm": "perm", "gen-pi": "pi", "gen-sigma": "sigma",
+    "perm": "perm", "pi": "pi", "sigma": "sigma", "sudoku": "sigma",
+}
+
+
+def _refuse_order(n: int, kind: str) -> None:
+    bound, matrix, entries, count = _BOUNDS[kind]
+    if n > bound:
+        raise InfeasibleError(
+            f"{matrix} of order {n} has {entries} = {count(n)} entries, "
+            f"more than the {count(bound)} of order {bound}, "
+            f"the largest this command builds"
+        )
 
 
 def _fail(exc: Exception, code: int):
@@ -391,10 +431,19 @@ def main(argv: list[str] | None = None):
     if extra:
         # reported with the command's usage line, not the top-level one
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    # gen-perm, gen-pi and gen-sigma: refused before any check or draw
-    if vars(args).get("algorithm") == "direct" and args.max_iterations is not None:
-        args.parser.error("--max-iterations does not apply to --algorithm direct")
+    actions = args.actions
+    values = {option: getattr(args, action.dest) for option, action in actions.items()}
+    for choice, reader, options in _UNREAD_RULES:
+        if values.get(choice, reader) == reader:
+            continue
+        for option in options:
+            if option in values and values[option] != actions[option].default:
+                args.parser.error(f"{option} does not apply to {choice} {values[choice]}")
+    kind = _KINDS.get(values.get("--generator", "").split("-")[0] or args.command)
     try:
+        # after the usage errors and before anything is drawn or built
+        if kind:
+            _refuse_order(max(values.get("--sizes") or [values["--n"]]), kind)
         args.run(args)
     except MatrixParseError as exc:
         _fail(exc, 2)

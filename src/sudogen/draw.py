@@ -17,8 +17,6 @@ import io
 from .errors import BudgetExhaustedError
 from .formats import (
     _echo,
-    _refuse_order,
-    _refuse_sigma_order,
     format_perm,
     format_pi,
     format_sigma,
@@ -32,14 +30,6 @@ from .perm import gen_perm_direct
 from .pi import gen_pi_direct
 from .rng import RandomSource, derive_seed, entropy_seed
 from .sigma import phi
-
-# Largest orders gen-perm and gen-pi draw.  From order 5 on a permutation
-# of order n is n draws decoded by O(n^2) shifts, and a pi matrix is 2n of
-# them, O(n^3).  A gen-perm process took about 0.9 s and 16 MB at order
-# 8192 against 3.1 s at 16384, and a gen-pi process 1.1 s and 21 MB at
-# order 384 against 2.8 s and 28 MB at 512 (2 CPUs, Python 3.11.7).
-_MAX_PERM_ORDER = 8192
-_MAX_PI_ORDER = 384
 
 
 def _emit(fmt: str, seed: int, value, to_text, to_json, iterations=None, stats=None):
@@ -83,13 +73,11 @@ def _generate(args, direct, rejection: str, to_text, to_json) -> None:
 
 def gen_perm_cmd(args):
     """Generate one random permutation of 1..n."""
-    _refuse_order(args.n, _MAX_PERM_ORDER, "a permutation", "n", lambda n: n)
     _generate(args, gen_perm_direct, "gen_perm_rejection", format_perm, perm_json)
 
 
 def gen_pi_cmd(args):
     """Generate a random 2n x n matrix whose rows are all permutations."""
-    _refuse_order(args.n, _MAX_PI_ORDER, "a pi matrix", "2n^2", lambda n: 2 * n * n)
     _generate(args, gen_pi_direct, "gen_pi_rejection", format_pi, pi_json)
 
 
@@ -98,7 +86,6 @@ def gen_sigma_cmd(args):
 
     Orders above 48 are refused with exit 3.
     """
-    _refuse_sigma_order(args.n)
     _generate(
         args,
         lambda n, source: phi(gen_pi_direct(n, source)),
@@ -116,23 +103,6 @@ def gen_sudoku_cmd(args):
     forces the last one.  Orders above 4 are refused with exit 3.
     """
     n, seed, attempts = args.n, args.seed, args.workers
-    # an option the run does not read is a usage error, not silently
-    # dropped; keyed by the choice that leaves it unread
-    unread = {
-        "--algorithm rejection": {
-            "--policy": args.policy_mode != "restart",
-            "--max-restarts": args.max_restarts is not None,
-            "--parallel": attempts != 1,
-        },
-        "--algorithm layered": {"--max-iterations": args.max_iterations is not None},
-        "--policy backtrack": {"--max-restarts": args.max_restarts is not None},
-        "--format json": {"--pretty": args.pretty},
-    }
-    chosen = f"--algorithm {args.algorithm}", f"--policy {args.policy_mode}", f"--format {args.fmt}"
-    for choice in chosen:
-        for option, given in unread.get(choice, {}).items():
-            if given:
-                args.parser.error(f"{option} does not apply to {choice}")
     if args.algorithm == "rejection":
         from .analysis import gen_sudoku_rejection
 

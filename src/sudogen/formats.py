@@ -18,9 +18,8 @@ whose tokens are all unsigned decimal digits are converted in one pass,
 and any other row token by token.
 
 The CLI's two command modules, :mod:`sudogen.cli` and
-:mod:`sudogen.draw`, share two things from here: ``_echo``, the one
-writer of their output, and the refusal of orders whose text they will
-not build.
+:mod:`sudogen.draw`, share one thing from here: ``_echo``, the one
+writer of their output.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import re
 import sys
 
-from .errors import InfeasibleError, MatrixParseError
+from .errors import MatrixParseError
 from .sigma import SigmaMatrix, _bit_rows, _columns_fit, _from_columns, block_order
 
 _INT_RE = re.compile(r"[+-]?\d+")
@@ -274,26 +273,3 @@ def _echo(text: str = "", err: bool = False, nl: bool = True) -> None:
     stream = sys.stderr if err else sys.stdout
     stream.write(text + "\n" if nl else text)
     stream.flush()
-
-
-def _refuse_order(n: int, bound: int, matrix: str, entries: str, count) -> None:
-    # InfeasibleError if n is past bound, the largest order a command
-    # builds; ``matrix`` names what it builds and ``entries``, as text and
-    # as the function ``count`` of the order, how many entries that has.
-    if n > bound:
-        raise InfeasibleError(
-            f"{matrix} of order {n} has {entries} = {count(n)} entries, "
-            f"more than the {count(bound)} of order {bound}, "
-            f"the largest this command builds"
-        )
-
-
-# Largest order gen-sigma and map --phi build: a block permutation matrix
-# of order n is an n^4-bit mask and n^4 entries of text, and at order 48
-# (5.3 million entries) a gen-sigma or map --phi process took about 0.5 s
-# and 51 MB, against 2.6 s and 161 MB at order 64 (2 CPUs, Python 3.11.7).
-_MAX_SIGMA_ORDER = 48
-
-
-def _refuse_sigma_order(n: int) -> None:
-    _refuse_order(n, _MAX_SIGMA_ORDER, "a block permutation matrix", "n^4", lambda n: n**4)

@@ -30,9 +30,9 @@ from sudogen import (
     parse_pi,
     phi,
 )
-from sudogen import cli, draw
-from sudogen.cli import _COMMANDS, main
-from sudogen.formats import _MAX_SIGMA_ORDER
+from sudogen import analysis, cli, draw
+from sudogen.cli import _BOUNDS, _COMMANDS, _UNREAD_RULES, main
+from sudogen.errors import BENCH_IDS, GENERATOR_IDS
 
 EXAMPLE = [[1, 2, 3, 4], [3, 4, 1, 2], [2, 1, 4, 3], [4, 3, 2, 1]]
 
@@ -196,8 +196,8 @@ def test_max_iterations_under_direct_is_a_usage_error(monkeypatch, command, n):
 
 # gen-perm and gen-pi: what the largest order builds, as the refusal names it
 ORDER_BOUNDS = {
-    "gen-perm": (draw._MAX_PERM_ORDER, "a permutation", "n", lambda n: n),
-    "gen-pi": (draw._MAX_PI_ORDER, "a pi matrix", "2n^2", lambda n: 2 * n * n),
+    "gen-perm": (_BOUNDS["perm"][0], "a permutation", "n", lambda n: n),
+    "gen-pi": (_BOUNDS["pi"][0], "a pi matrix", "2n^2", lambda n: 2 * n * n),
 }
 
 
@@ -297,22 +297,64 @@ class TestGenSudoku:
         assert run("gen-sudoku", "--n", "2", "--restart-budget", "1").exit_code == 2
 
     @pytest.mark.parametrize(
-        "algorithm,option,value",
+        "options,message",
         [
-            ("rejection", "--parallel", "3"),
-            ("rejection", "--policy", "backtrack"),
-            ("rejection", "--max-restarts", "0"),
-            ("layered", "--max-iterations", "1"),
+            pytest.param(
+                ["--algorithm", "rejection", "--parallel", "3"],
+                "--parallel does not apply to --algorithm rejection",
+                id="rejection---parallel-3",
+            ),
+            pytest.param(
+                ["--algorithm", "rejection", "--policy", "backtrack"],
+                "--policy does not apply to --algorithm rejection",
+                id="rejection---policy-backtrack",
+            ),
+            pytest.param(
+                ["--algorithm", "rejection", "--max-restarts", "0"],
+                "--max-restarts does not apply to --algorithm rejection",
+                id="rejection---max-restarts-0",
+            ),
+            pytest.param(
+                ["--algorithm", "layered", "--max-iterations", "1"],
+                "--max-iterations does not apply to --algorithm layered",
+                id="layered---max-iterations-1",
+            ),
+            # Several at once: the --algorithm rules win over --policy's and
+            # --policy's over --format's; within a rule, the first option
+            # in its list, whatever the order on the command line.
+            pytest.param(
+                ["--algorithm", "layered", "--max-iterations", "3",
+                 "--policy", "backtrack", "--max-restarts", "0"],
+                "--max-iterations does not apply to --algorithm layered",
+                id="layered-max-iterations-before-backtrack-max-restarts",
+            ),
+            pytest.param(
+                ["--algorithm", "rejection", "--parallel", "2", "--pretty", "--format", "json"],
+                "--parallel does not apply to --algorithm rejection",
+                id="rejection-parallel-before-json-pretty",
+            ),
+            pytest.param(
+                ["--algorithm", "rejection", "--parallel", "2", "--max-restarts", "0",
+                 "--policy", "backtrack"],
+                "--policy does not apply to --algorithm rejection",
+                id="rejection-policy-before-max-restarts-and-parallel",
+            ),
+            pytest.param(
+                ["--pretty", "--format", "json", "--policy", "backtrack", "--max-restarts", "0"],
+                "--max-restarts does not apply to --policy backtrack",
+                id="backtrack-max-restarts-before-json-pretty",
+            ),
         ],
     )
-    def test_option_the_algorithm_does_not_read_is_a_usage_error(self, algorithm, option, value):
-        result = run(
-            "gen-sudoku", "--n", "2", "--seed", "1", "--algorithm", algorithm, option, value
-        )
+    def test_option_the_algorithm_does_not_read_is_a_usage_error(
+        self, monkeypatch, options, message
+    ):
+        monkeypatch.setattr(draw, "RandomSource", unreachable)
+        result = run("gen-sudoku", "--n", "2", "--seed", "1", *options)
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr.startswith("usage: sudogen gen-sudoku")
-        assert f"error: {option} does not apply to --algorithm {algorithm}" in result.stderr
+        assert result.stderr.endswith(f"error: {message}\n")
 
     def test_pretty_json_is_a_usage_error_and_draws_nothing(self, monkeypatch):
         # --pretty shapes text output only, so JSON output would leave it unread
@@ -524,7 +566,7 @@ class TestMapAndLayers:
 
     def test_phi_refuses_an_order_past_the_bound_before_mapping(self, monkeypatch):
         monkeypatch.setattr(cli, "phi", unreachable)
-        n = _MAX_SIGMA_ORDER + 1
+        n = _BOUNDS["sigma"][0] + 1
         result = run("map", "--phi", input=format_pi([list(range(1, n + 1))] * (2 * n)))
         assert result.exit_code == 3
         assert f"order {n} has n^4 = {n**4} entries" in result.stderr
@@ -746,6 +788,79 @@ class TestBench:
 
     def test_unknown_generator(self):
         assert run("bench", "--generator", "magic", "--sizes", "8").exit_code == 2
+
+
+# What estimate and bench are told one order past each bound, written out
+PAST_THE_BOUND = {
+    "perm": "error: a permutation of order 8193 has n = 8193 entries, more than the "
+    "8192 of order 8192, the largest this command builds\n",
+    "pi": "error: a pi matrix of order 385 has 2n^2 = 296450 entries, more than the "
+    "294912 of order 384, the largest this command builds\n",
+    "sigma": "error: a block permutation matrix of order 49 has n^4 = 5764801 entries, "
+    "more than the 5308416 of order 48, the largest this command builds\n",
+}
+BOUND = {"perm": 8192, "pi": 384, "sigma": 48}
+# the kind of matrix each estimate and bench generator builds
+GENERATOR_KINDS = {
+    "perm-rejection": "perm", "perm-direct": "perm", "perm-check": "perm",
+    "pi-rejection": "pi", "pi-direct": "pi",
+    "sigma-rejection": "sigma", "sigma-check": "sigma", "sudoku-rejection": "sigma",
+}
+
+
+@pytest.mark.parametrize("generator", GENERATOR_IDS)
+def test_estimate_past_the_order_bound_is_refused_before_drawing(monkeypatch, generator):
+    monkeypatch.setattr(draw, "RandomSource", unreachable)
+    kind = GENERATOR_KINDS[generator]
+    n = str(BOUND[kind] + 1)
+    result = run("estimate", "--generator", generator, "--n", n, "--samples", "100", "--seed", "1")
+    assert result == (3, "", PAST_THE_BOUND[kind])
+
+
+@pytest.mark.parametrize("generator", BENCH_IDS)
+def test_bench_past_the_order_bound_is_refused_before_drawing(monkeypatch, generator):
+    # the largest size is refused before the first one is timed
+    monkeypatch.setattr(draw, "RandomSource", unreachable)
+    kind = GENERATOR_KINDS[generator]
+    sizes = f"2,{BOUND[kind] + 1},3"
+    result = run("bench", "--generator", generator, "--sizes", sizes, "--repetitions", "1")
+    assert result == (3, "", PAST_THE_BOUND[kind])
+
+
+@pytest.mark.parametrize("generator", BENCH_IDS)
+def test_estimate_and_bench_accept_the_order_bound(monkeypatch, generator):
+    # the library calls are stubbed: they record the order asked for and
+    # run at order 1
+    asked = []
+    estimate_p, bench_tau = analysis.estimate_p, analysis.bench_tau
+    monkeypatch.setattr(
+        analysis, "estimate_p",
+        lambda g, n, samples, source: asked.append(n) or estimate_p(g, 1, samples, source),
+    )
+    monkeypatch.setattr(
+        analysis, "bench_tau",
+        lambda g, sizes, reps, source: asked.append(sizes) or bench_tau(g, [1], reps, source),
+    )
+    bound = BOUND[GENERATOR_KINDS[generator]]
+    if generator in GENERATOR_IDS:
+        ok("estimate", "--generator", generator, "--n", str(bound), "--samples", "100")
+        assert asked == [bound]
+        asked.clear()
+    ok("bench", "--generator", generator, "--sizes", f"2,{bound}", "--repetitions", "1")
+    assert asked == [[2, bound]]
+
+
+def test_unread_rules_name_real_options():
+    # main skips a rule's options that a command lacks, so a misspelt name
+    # would switch the rule off without a word
+    commands = [dict(options) for _, options in _COMMANDS.values()]
+    for choice, reader, options in _UNREAD_RULES:
+        for option in (choice, *options):
+            assert any(option in command for command in commands), option
+        applies = [c for c in commands if choice in c and any(o in c for o in options)]
+        assert applies, (choice, reader, options)
+        for command in applies:
+            assert reader in command[choice]["choices"], (choice, reader)
 
 
 class TestPipelinesViaShell:

@@ -36,3 +36,21 @@ def test_no_unused_imports(path):
             if name not in read:
                 unused.append(f"{name} (line {node.lineno})")
     assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_cli_makes_usage_errors(path):
+    # cli.main decides which requests are refused as usage errors, so no
+    # other module calls ``.error(...)`` on a parser
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            receiver = node.func.value  # ``parser`` or ``args.parser``
+            name = getattr(receiver, "id", None) or getattr(receiver, "attr", "")
+            if node.func.attr == "error" and name.endswith("parser"):
+                lines.append(node.lineno)
+    if path.name == "cli.py":
+        assert lines, "cli.py: no parser.error call found"
+    else:
+        assert lines == [], f"{path.name}: parser.error on lines {lines}"
